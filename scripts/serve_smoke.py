@@ -8,22 +8,33 @@ SIGINT and asserts a clean shutdown — the documented Ctrl-C path.  This
 is the one test that covers argv parsing, stdout protocol, and signal
 handling together; CI runs it on every push.
 
+Every call goes over one keep-alive connection, as a real client's
+would, and ten ``/healthz`` round trips must have a median under 20 ms:
+half the ~40 ms delayed-ACK stall a response split across two socket
+writes would cost on every request after a connection's first.
+
 Usage: ``PYTHONPATH=src python scripts/serve_smoke.py``
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
+import urllib.parse
 
 TIMEOUT = 60.0
+#: Median /healthz round trip on a keep-alive connection must stay below
+#: this (half the delayed-ACK floor a split response would pay).
+STALL_MS = 20.0
+HEALTH_CALLS = 10
 
 
 def _write_edge_list(path: str) -> None:
@@ -51,13 +62,16 @@ def _wait_for_banner(proc: subprocess.Popen) -> str:
     raise SystemExit("timed out waiting for the serve banner")
 
 
-def _post(url: str, payload: dict) -> dict:
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
-        return json.loads(response.read().decode("utf-8"))
+def _call(conn: http.client.HTTPConnection, method: str, path: str,
+          payload: "dict | None" = None) -> dict:
+    """One request on the shared keep-alive connection; the JSON reply."""
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    conn.request(method, path, body=body,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    data = response.read()
+    assert response.status == 200, (path, response.status, data)
+    return json.loads(data.decode("utf-8"))
 
 
 def main() -> int:
@@ -74,15 +88,25 @@ def main() -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env,
         )
+        conn = None
         try:
-            base = _wait_for_banner(proc)
+            url = urllib.parse.urlsplit(_wait_for_banner(proc))
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=TIMEOUT)
 
-            with urllib.request.urlopen(f"{base}/healthz",
-                                        timeout=TIMEOUT) as response:
-                health = json.loads(response.read().decode("utf-8"))
-            assert health.get("status") == "ok", health
+            health_ms = []
+            for _ in range(HEALTH_CALLS):
+                start = time.perf_counter()
+                health = _call(conn, "GET", "/healthz")
+                health_ms.append((time.perf_counter() - start) * 1e3)
+                assert health.get("status") == "ok", health
+            health_p50 = statistics.median(health_ms)
+            assert health_p50 < STALL_MS, (
+                f"keep-alive /healthz median {health_p50:.1f} ms >= "
+                f"{STALL_MS:.0f} ms: responses are stalling"
+            )
 
-            estimate = _post(f"{base}/estimate",
+            estimate = _call(conn, "POST", "/estimate",
                              {"seeds": [0, 3], "n_samples": 2000})
             assert estimate["value"] > 0, estimate
             assert estimate["n_samples"] == 2000, estimate
@@ -90,36 +114,36 @@ def main() -> int:
 
             # Live-graph round trip: mutate, check the epoch advances and
             # queries keep answering (on the mutated graph).
-            inserted = _post(f"{base}/insert_edge",
+            inserted = _call(conn, "POST", "/insert_edge",
                              {"u": 0, "v": 30, "p": 0.5})
             assert inserted["epoch"] == 1, inserted
             assert inserted["applied"] == 1, inserted
-            batched = _post(f"{base}/apply_deltas", {"deltas": [
+            batched = _call(conn, "POST", "/apply_deltas", {"deltas": [
                 {"op": "delete", "u": 0, "v": 30},
                 {"op": "insert", "u": 5, "v": 40, "p": 0.3},
             ]})
             assert batched["epoch"] == 2, batched
             assert batched["applied"] == 2, batched
-            estimate2 = _post(f"{base}/estimate",
+            estimate2 = _call(conn, "POST", "/estimate",
                               {"seeds": [0, 3], "n_samples": 2000})
             assert estimate2["epoch"] == 2, estimate2
             assert estimate2["value"] > 0, estimate2
 
-            with urllib.request.urlopen(f"{base}/stats",
-                                        timeout=TIMEOUT) as response:
-                stats = json.loads(response.read().decode("utf-8"))
+            stats = _call(conn, "GET", "/stats")
             assert stats["dynamic"][0]["epoch"] == 2, stats
 
             proc.send_signal(signal.SIGINT)
             code = proc.wait(timeout=TIMEOUT)
             assert code == 0, f"server exited with {code} after SIGINT"
         finally:
+            if conn is not None:
+                conn.close()
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=TIMEOUT)
     print("serve smoke test: OK "
           f"(estimate={estimate['value']:.3f} on {estimate['n_samples']} "
-          "RR sets)")
+          f"RR sets; keep-alive /healthz p50 {health_p50:.2f} ms)")
     return 0
 
 

@@ -69,6 +69,7 @@ from .errors import (
     GraphFormatError,
     PartitionError,
     ReproError,
+    WireFormatError,
 )
 from .graph import GraphBuilder, InfluenceGraph, read_edge_list, write_edge_list
 from .partition import Partition
@@ -139,4 +140,5 @@ __all__ = [
     "CoarseningError",
     "BudgetExceededError",
     "AlgorithmError",
+    "WireFormatError",
 ]

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffusion.live_edge import live_edge_csr_from_mask
-from ..errors import CoarseningError
+from ..errors import CoarseningError, WireFormatError, json_int
 from ..graph.builder import combine_parallel_edges
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, span
@@ -151,14 +151,19 @@ class Delta:
 
     @classmethod
     def from_json(cls, body: dict) -> "Delta":
-        """Build a delta from its JSON wire form (the serve endpoints)."""
+        """Build a delta from its JSON wire form (the serve endpoints).
+
+        ``u``/``v`` must be JSON integers (:func:`~repro.errors.json_int`):
+        coercing ``2.5`` to ``2`` would mutate an edge nobody named.
+        """
         try:
             op = body["op"]
-            u = int(body["u"])
-            v = int(body["v"])
-        except (KeyError, TypeError, ValueError) as exc:
+            u = json_int(body["u"], "u")
+            v = json_int(body["v"], "v")
+        except (KeyError, TypeError, WireFormatError) as exc:
+            detail = f": {exc}" if isinstance(exc, WireFormatError) else ""
             raise CoarseningError(
-                "delta objects need integer 'u'/'v' and an 'op'"
+                f"delta objects need integer 'u'/'v' and an 'op'{detail}"
             ) from exc
         p = body.get("p")
         return cls(op=op, u=u, v=v, p=None if p is None else float(p))

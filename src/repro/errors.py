@@ -4,6 +4,9 @@ Every error raised by the library is a subclass of :class:`ReproError`, so
 callers can catch a single type at the API boundary.
 """
 
+import numbers
+import reprlib
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -31,3 +34,22 @@ class BudgetExceededError(ReproError):
 
 class AlgorithmError(ReproError):
     """An influence-analysis algorithm received invalid parameters."""
+
+
+class WireFormatError(ReproError):
+    """A JSON request field has the wrong type (the serve endpoints' 400)."""
+
+
+def json_int(value: object, field: str) -> int:
+    """``value`` as an int if it is a JSON integer, else :class:`WireFormatError`.
+
+    ``int()`` is not a type check: it truncates ``2.5`` to ``2``, reads
+    ``true`` as ``1`` and ``"7"`` as ``7``, so a wrong field would be
+    answered (or, for a mutation, applied) as some other integer.  Floats,
+    bools, strings, arrays, objects and ``null`` are all rejected.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise WireFormatError(
+        f"{field} must be an integer, got {reprlib.repr(value)}"
+    )

@@ -27,8 +27,14 @@ endpoint may not write it).
 Error mapping: admission-control overflow
 (:class:`~repro.errors.BudgetExceededError`) is ``429``; any other
 :class:`~repro.errors.ReproError` (bad seeds, bad k, malformed deltas) is
-``400``; malformed JSON is ``400``.  Degraded queries still return ``200``
-with ``"degraded": true`` and the achieved-accuracy report inline.
+``400``; malformed JSON is ``400``.  Integer fields (``seeds``,
+``seed_sets``, ``k``, ``n_samples``, ``u``, ``v``) must be JSON integers:
+``2.5``, ``true`` or ``"3"`` is a ``400``, never coerced.  Degraded queries
+still return ``200`` with ``"degraded": true`` and the achieved-accuracy
+report inline.
+
+Every response leaves in one socket write on a ``TCP_NODELAY`` socket, so
+keep-alive clients pay no Nagle/delayed-ACK stall between requests.
 """
 
 from __future__ import annotations
@@ -37,15 +43,32 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..core.dynamic import Delta
-from ..errors import BudgetExceededError, ReproError
+from ..errors import BudgetExceededError, ReproError, WireFormatError, json_int
 from ..graph.influence_graph import InfluenceGraph
-from ..obs import inc
+from ..obs import inc, timed
 from .dynamic import DynamicModel
 from .service import InfluenceService, QueryResult
 
 __all__ = ["ServeHandler", "make_server", "serve_forever"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Size of the handler's buffered ``wfile``.  A response up to this size
+#: (status line, headers and body) leaves in one socket write when the
+#: request is done; a larger one is split, which TCP_NODELAY keeps cheap.
+_WRITE_BUFFER_BYTES = 64 * 1024
+
+
+def _int_list(value: object, field: str) -> "list[int]":
+    """A JSON array of integers (a seed set), checked element by element."""
+    if not isinstance(value, list):
+        raise WireFormatError(f"{field} must be a JSON array of integers")
+    return [json_int(item, f"{field}[{i}]") for i, item in enumerate(value)]
+
+
+def _n_samples(body: dict) -> "int | None":
+    value = body.get("n_samples")
+    return None if value is None else json_int(value, "n_samples")
 
 
 def _query_json(result: QueryResult) -> dict:
@@ -82,10 +105,25 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
+    # One socket write per response: sent as two small segments (headers,
+    # then body), Nagle holds the second until the client's delayed ACK,
+    # ~40 ms on every keep-alive request after a connection's first.  The
+    # buffered wfile is flushed once by ``handle_one_request`` (by
+    # ``finish`` for the stdlib's own ``send_error`` replies).
+    disable_nagle_algorithm = True
+    wbufsize = _WRITE_BUFFER_BYTES
+
     def log_message(self, format: str, *args: object) -> None:
         """Silence per-request stderr chatter; obs counters cover it."""
 
     # -- plumbing ------------------------------------------------------
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client before it sends the body,
+        # so it cannot wait in the buffer for the final response.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def _reply(self, status: int, body: dict) -> None:
         payload = json.dumps(body).encode("utf-8")
@@ -123,6 +161,14 @@ class ServeHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server's casing
+        with timed("serve.http.handle_seconds"):
+            self._get()
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server's casing
+        with timed("serve.http.handle_seconds"):
+            self._post()
+
+    def _get(self) -> None:
         if self.path == "/healthz":
             self._reply(200, {"status": "ok"})
         elif self.path == "/stats":
@@ -144,38 +190,44 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _mutation_deltas(self, body: dict) -> "list[Delta]":
         if self.path == "/insert_edge":
-            return [Delta("insert", int(body["u"]), int(body["v"]),
-                          float(body["p"]))]
+            return [Delta("insert", json_int(body["u"], "u"),
+                          json_int(body["v"], "v"), float(body["p"]))]
         if self.path == "/delete_edge":
-            return [Delta("delete", int(body["u"]), int(body["v"]))]
+            return [Delta("delete", json_int(body["u"], "u"),
+                          json_int(body["v"], "v"))]
         raw = body["deltas"]
         if not isinstance(raw, list):
             raise ReproError("'deltas' must be a JSON array")
         return [Delta.from_json(d) for d in raw]
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server's casing
+    def _post(self) -> None:
         try:
             body = self._read_body()
             if self.path == "/estimate":
                 epoch, graph = self._resolve()
                 result = self.service.estimate(
-                    graph, body["seeds"],
-                    n_samples=body.get("n_samples"),
+                    graph, _int_list(body["seeds"], "seeds"),
+                    n_samples=_n_samples(body),
                 )
                 self._reply(200, self._stamp(_query_json(result), epoch))
             elif self.path == "/estimate_many":
                 epoch, graph = self._resolve()
+                seed_sets = body["seed_sets"]
+                if not isinstance(seed_sets, list):
+                    raise WireFormatError(
+                        "seed_sets must be a JSON array of seed arrays")
                 results = self.service.estimate_many(
-                    graph, body["seed_sets"],
-                    n_samples=body.get("n_samples"),
+                    graph, [_int_list(seeds, f"seed_sets[{i}]")
+                            for i, seeds in enumerate(seed_sets)],
+                    n_samples=_n_samples(body),
                 )
                 self._reply(200, self._stamp(
                     {"results": [_query_json(r) for r in results]}, epoch))
             elif self.path == "/maximize":
                 epoch, graph = self._resolve()
                 result = self.service.maximize(
-                    graph, int(body["k"]),
-                    n_samples=body.get("n_samples"),
+                    graph, json_int(body["k"], "k"),
+                    n_samples=_n_samples(body),
                 )
                 self._reply(200, self._stamp({
                     "seeds": [int(v) for v in result.seeds],

@@ -322,3 +322,19 @@ class TestBatchedDeltas:
             Delta.from_json({"op": "insert", "u": "zero", "v": 1, "p": 0.5})
         d = Delta.from_json({"op": "delete", "u": 3, "v": 4})
         assert (d.op, d.u, d.v, d.p) == ("delete", 3, 4, None)
+
+    @pytest.mark.parametrize("u, v", [
+        (0, 2.5), (2.0, 1), (True, 1), (0, False), ("3", 1), (0, [2]),
+        (0, None),
+    ])
+    def test_delta_from_json_rejects_non_integer_endpoints(self, u, v):
+        # int() would truncate 2.5 to 2 (or read true as 1) and mutate an
+        # edge the request never named.
+        with pytest.raises(CoarseningError, match="must be an integer"):
+            Delta.from_json({"op": "insert", "u": u, "v": v, "p": 0.5})
+
+    def test_delta_from_json_accepts_numpy_integers(self):
+        d = Delta.from_json({"op": "insert", "u": np.int64(3),
+                             "v": np.int32(4), "p": 0.5})
+        assert (d.u, d.v) == (3, 4)
+        assert type(d.u) is int and type(d.v) is int

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import pathlib
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -26,7 +28,7 @@ from repro.serve import (
 from repro.serve.cache import result_nbytes
 from repro.serve.http import make_server
 
-from .conftest import random_graph
+from .conftest import build_graph, random_graph
 
 
 def make_key(tag: str = "a", r: int = 4) -> ModelKey:
@@ -403,3 +405,173 @@ class TestHTTP:
         assert b" 400 " in status_line
         body = json.loads(raw.partition(b"\r\n\r\n")[2])
         assert "Content-Length" in body["error"]
+
+
+class _CountingSocket(socket.socket):
+    """An accepted connection that counts the writes handed to the kernel."""
+
+    writes = 0
+
+    def send(self, data, *args):
+        self.writes += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.writes += 1
+        return super().sendall(data, *args)
+
+
+class TestKeepAlive:
+    """Many requests over one connection, the way real clients talk.
+
+    ``urllib`` sends ``Connection: close``, so a per-response stall that
+    only hits the second request on a connection never showed there.
+    Writing a response as two small segments on a Nagle socket made every
+    keep-alive request wait for the client's delayed ACK (~40 ms).
+    """
+
+    ROUTES = 20
+    #: Half the ~40 ms delayed-ACK floor: a reintroduced stall cannot pass
+    #: and host noise on a sub-millisecond answer cannot fail it.
+    STALL_MS = 20.0
+
+    @pytest.fixture
+    def served(self):
+        graph = build_graph(12, [(i, (i + 1) % 12, 0.6) for i in range(12)])
+        service = InfluenceService(ServiceConfig(
+            r=4, seed=5, sampler="addressable", n_samples=400,
+            min_samples=64, max_workers=2,
+        ))
+        dynamic = service.attach_dynamic(graph)
+        server = make_server(service, graph, port=0, dynamic=dynamic)
+        accepted: "list[_CountingSocket]" = []
+        plain_get_request = server.get_request
+
+        def get_request():
+            sock, address = plain_get_request()
+            counting = _CountingSocket(fileno=sock.detach())
+            accepted.append(counting)
+            return counting, address
+
+        server.get_request = get_request
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            yield conn, accepted, dynamic
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    @staticmethod
+    def _call(conn, method, path, body=None):
+        payload = None if body is None else json.dumps(body).encode()
+        conn.request(method, path, body=payload,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        data = response.read()
+        assert response.getheader("Content-Type") == "application/json"
+        return response.status, json.loads(data)
+
+    def _requests(self):
+        for _ in range(self.ROUTES):
+            yield "GET", "/healthz", None
+        for _ in range(self.ROUTES):
+            yield "GET", "/stats", None
+        for _ in range(self.ROUTES):
+            yield "POST", "/estimate", {"seeds": [0, 3]}
+        for i in range(self.ROUTES):  # toggle the chord 0 -> 2
+            op = "insert" if i % 2 == 0 else "delete"
+            yield "POST", "/apply_deltas", {"deltas": [
+                {"op": op, "u": 0, "v": 2, "p": 0.5}]}
+
+    def test_one_write_per_response_and_no_stall(self, served):
+        conn, accepted, dynamic = served
+        rounds: "dict[str, list[float]]" = {}
+        for method, path, body in self._requests():
+            before = accepted[0].writes if accepted else 0
+            start = time.perf_counter()
+            status, _ = self._call(conn, method, path, body)
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            assert status == 200, (path, body)
+            # Same connection throughout, one send per response.
+            assert len(accepted) == 1
+            assert accepted[0].writes - before == 1, path
+            rounds.setdefault(path, []).append(elapsed_ms)
+        assert dynamic.epoch == self.ROUTES
+        for path, times in rounds.items():
+            assert len(times) == self.ROUTES
+            assert statistics.median(times) < self.STALL_MS, (path, times)
+
+    @pytest.mark.parametrize("path, body", [
+        ("/estimate", {"seeds": [[1, 2]]}),
+        ("/estimate", {"seeds": [0.7]}),
+        ("/estimate", {"seeds": [True]}),
+        ("/estimate", {"seeds": ["0"]}),
+        ("/estimate", {"seeds": 3}),
+        ("/estimate", {"seeds": [0], "n_samples": "x"}),
+        ("/estimate", {"seeds": [0], "n_samples": 100.5}),
+        ("/estimate_many", {"seed_sets": [[0], [1.9]]}),
+        ("/estimate_many", {"seed_sets": {"a": [0]}}),
+        ("/maximize", {"k": True}),
+        ("/maximize", {"k": 2.0}),
+        ("/maximize", {"k": 2, "n_samples": [400]}),
+        ("/apply_deltas", {"deltas": [
+            {"op": "insert", "u": 0, "v": 2.5, "p": 0.5}]}),
+        ("/apply_deltas", {"deltas": [
+            {"op": "insert", "u": False, "v": 2, "p": 0.5}]}),
+        ("/insert_edge", {"u": 0, "v": 2.0, "p": 0.5}),
+        ("/delete_edge", {"u": "0", "v": 1}),
+    ])
+    def test_non_integer_fields_are_bad_request(self, served, path, body):
+        conn, accepted, dynamic = served
+        status, reply = self._call(conn, "POST", path, body)
+        assert status == 400
+        assert isinstance(reply["error"], str) and reply["error"]
+        assert "not supported" not in reply["error"]
+        assert dynamic.epoch == 0  # no mutation slipped through
+        # The connection stays usable after the typed 400.
+        assert self._call(conn, "GET", "/healthz") == (200, {"status": "ok"})
+        assert len(accepted) == 1
+
+    def test_handler_time_is_observed(self, served):
+        conn, _, _ = served
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            for method, path, body in [
+                ("GET", "/healthz", None),
+                ("POST", "/estimate", {"seeds": [0]}),
+                ("POST", "/estimate", {"seeds": [0.5]}),
+            ]:
+                self._call(conn, method, path, body)
+        timer = registry.snapshot()["timers"]["serve.http.handle_seconds"]
+        assert timer["count"] == 3
+        assert registry.counter("serve.http.responses") == 3
+
+    def test_expect_100_continue_is_sent_before_the_body(self, served):
+        # The interim 100 must not sit in the response buffer: a client
+        # waits for it before sending the body.
+        conn, _, _ = served
+        body = json.dumps({"seeds": [0]}).encode()
+        with socket.create_connection((conn.host, conn.port),
+                                      timeout=5) as raw:
+            raw.sendall(
+                b"POST /estimate HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+                b"\r\n"
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += raw.recv(1)
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            raw.sendall(body)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += raw.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 200 ")
