@@ -9,6 +9,8 @@ instead of scoring an RR pool per query.  This bench quantifies the trade:
   (O(n_samples) each), the oracle answers the whole workload as one
   gather off its precomputed estimates (:meth:`InfluenceOracle.points`).
   Target: 100-1000x QPS.
+* **build cost** — the oracle's construction time on the throughput
+  model (``throughput.oracle.build_seconds``), informational: no gate.
 * **accuracy vs k** — on a small graph where complete sketches are
   affordable, every ``k`` in the sweep is compared against the *exact*
   live-edge influence (an oracle whose sketches never truncate), pinning
@@ -114,7 +116,9 @@ def _throughput(graph, queries: int) -> dict:
     # The oracle's batch face answers the whole point-query workload as
     # one gather; repeat it so the timed region is well above timer
     # resolution.
+    t0 = time.perf_counter()
     oracle = InfluenceOracle(coarse, r=R, k=SKETCH_K, rng=0)
+    build_seconds = time.perf_counter() - t0
     batch = np.asarray(targets, dtype=np.int64)
     reps = 50
     t0 = time.perf_counter()
@@ -151,7 +155,8 @@ def _throughput(graph, queries: int) -> dict:
             "sketch": queries / sketch_seconds if sketch_seconds > 0 else None,
         },
         "oracle": {"k": SKETCH_K, "r": R, "nbytes": oracle.nbytes,
-                   "eps": eps},
+                   "eps": eps, "coarse_n": coarse.n,
+                   "build_seconds": build_seconds},
         "accuracy": {
             "mean_rel_error_vs_exact": float(rel.mean()),
             "max_rel_error_vs_exact": float(rel.max()),
@@ -262,6 +267,9 @@ def generate(quick: bool = False) -> dict:
         [[str(row["k"]), f"{row['advertised_eps']:.3f}",
           f"{row['mean_rel_error']:.4f}", f"{row['max_rel_error']:.4f}",
           f"{row['frac_outside_envelope']:.3f}"] for row in sweep]))
+    built = throughput["oracle"]
+    print(f"oracle build (coarse n={built['coarse_n']:,}): "
+          f"{built['build_seconds']:.3f} s")
     print(f"served == direct oracle (bit-for-bit): {serving_ok}; "
           f"QPS gate asserted: {asserted}"
           + (f" ({skip_reason})" if skip_reason else ""))

@@ -18,9 +18,13 @@ import itertools
 
 import numpy as np
 
-from ..diffusion.live_edge import sample_live_edge_csr
+from ..diffusion.live_edge import (
+    live_edge_csr_from_mask,
+    sample_live_edge_csr,
+)
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
+from ..obs import inc
 from ..partition.partition import Partition
 from ..rng import ensure_rng
 from ..scc import scc_labels
@@ -73,14 +77,44 @@ def exact_reliability(graph: InfluenceGraph) -> float:
 def estimate_reliability(
     graph: InfluenceGraph, n_samples: int = 10_000, rng=None
 ) -> float:
-    """Monte-Carlo estimate of ``Rel(G)``."""
+    """Monte-Carlo estimate of ``Rel(G)``.
+
+    Every sample consumes exactly one ``rng.random(m)`` keep-mask, whatever
+    its outcome, so callers sharing ``rng`` (:func:`reliability_product`
+    over several blocks) see the same stream.  A strongly connected sample
+    needs every vertex to keep a live out-edge and a live in-edge; samples
+    failing that exact necessary condition — most samples of a large block
+    — are rejected before any CSR is built or SCC pass run.
+    """
     if graph.n <= 1:
         return 1.0
     rng = ensure_rng(rng)
+    # Reused buffers: each draw is the ``rng.random(m) < probs`` of
+    # :func:`~repro.diffusion.live_edge.sample_live_edge_mask`, without a
+    # fresh ``m``-sized allocation per sample.
+    draws = np.empty(graph.m, dtype=np.float64)
+    keep = np.empty(graph.m, dtype=bool)
+    live_in = np.empty(graph.n, dtype=bool)
+    starts = graph.indptr[:-1]
+    if not (np.diff(graph.indptr) > 0).all() or not (
+            np.bincount(graph.heads, minlength=graph.n) > 0).all():
+        # A source or sink vertex: no sample is strongly connected.
+        for _ in range(n_samples):
+            rng.random(out=draws)
+        return 0.0
     hits = 0
     for _ in range(n_samples):
-        indptr, heads = sample_live_edge_csr(graph, rng)
-        labels = scc_labels(indptr, heads)
+        rng.random(out=draws)
+        np.less(draws, graph.probs, out=keep)
+        inc("sample.live_edge_graphs")
+        inc("sample.edges_kept", int(np.count_nonzero(keep)))
+        if not np.logical_or.reduceat(keep, starts).all():
+            continue
+        live_in[:] = False
+        live_in[graph.heads[keep]] = True
+        if not live_in.all():
+            continue
+        labels = scc_labels(*live_edge_csr_from_mask(graph, keep))
         if labels.max(initial=0) == 0:
             hits += 1
     return hits / n_samples

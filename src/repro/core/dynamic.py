@@ -70,7 +70,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffusion.live_edge import live_edge_csr_from_mask
-from ..errors import CoarseningError, WireFormatError, json_int
+from ..errors import (
+    CoarseningError,
+    WireFormatError,
+    json_int,
+    json_number,
+)
 from ..graph.builder import combine_parallel_edges
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, span
@@ -154,7 +159,10 @@ class Delta:
         """Build a delta from its JSON wire form (the serve endpoints).
 
         ``u``/``v`` must be JSON integers (:func:`~repro.errors.json_int`):
-        coercing ``2.5`` to ``2`` would mutate an edge nobody named.
+        coercing ``2.5`` to ``2`` would mutate an edge nobody named.  A
+        present ``p`` must be a finite JSON number
+        (:func:`~repro.errors.json_number`, raising
+        :class:`~repro.errors.WireFormatError`): ``true`` is not ``1.0``.
         """
         try:
             op = body["op"]
@@ -166,7 +174,8 @@ class Delta:
                 f"delta objects need integer 'u'/'v' and an 'op'{detail}"
             ) from exc
         p = body.get("p")
-        return cls(op=op, u=u, v=v, p=None if p is None else float(p))
+        return cls(op=op, u=u, v=v,
+                   p=None if p is None else json_number(p, "p"))
 
 
 @dataclass

@@ -4,6 +4,7 @@ Every error raised by the library is a subclass of :class:`ReproError`, so
 callers can catch a single type at the API boundary.
 """
 
+import math
 import numbers
 import reprlib
 
@@ -52,4 +53,22 @@ def json_int(value: object, field: str) -> int:
         return int(value)
     raise WireFormatError(
         f"{field} must be an integer, got {reprlib.repr(value)}"
+    )
+
+
+def json_number(value: object, field: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else
+    :class:`WireFormatError`.
+
+    ``float()`` is not a type check either: it reads ``true`` as ``1.0``
+    and ``"0.5"`` as ``0.5``, and Python's JSON parser turns the
+    non-standard ``NaN``/``Infinity`` literals into floats no range check
+    orders sensibly.  Bools, strings, arrays, objects, ``null`` and
+    non-finite values are all rejected; integers are accepted.
+    """
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise WireFormatError(
+        f"{field} must be a finite number, got {reprlib.repr(value)}"
     )

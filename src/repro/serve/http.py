@@ -29,7 +29,9 @@ Error mapping: admission-control overflow
 :class:`~repro.errors.ReproError` (bad seeds, bad k, malformed deltas) is
 ``400``; malformed JSON is ``400``.  Integer fields (``seeds``,
 ``seed_sets``, ``k``, ``n_samples``, ``u``, ``v``) must be JSON integers:
-``2.5``, ``true`` or ``"3"`` is a ``400``, never coerced.  Degraded queries
+``2.5``, ``true`` or ``"3"`` is a ``400``, never coerced; an edge
+probability ``p`` must be a finite JSON number (``true``, ``"0.5"`` and
+``NaN`` are ``400``s).  Degraded queries
 still return ``200`` with ``"degraded": true`` and the achieved-accuracy
 report inline.
 
@@ -43,7 +45,13 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..core.dynamic import Delta
-from ..errors import BudgetExceededError, ReproError, WireFormatError, json_int
+from ..errors import (
+    BudgetExceededError,
+    ReproError,
+    WireFormatError,
+    json_int,
+    json_number,
+)
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, timed
 from .dynamic import DynamicModel
@@ -191,7 +199,8 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _mutation_deltas(self, body: dict) -> "list[Delta]":
         if self.path == "/insert_edge":
             return [Delta("insert", json_int(body["u"], "u"),
-                          json_int(body["v"], "v"), float(body["p"]))]
+                          json_int(body["v"], "v"),
+                          json_number(body["p"], "p"))]
         if self.path == "/delete_edge":
             return [Delta("delete", json_int(body["u"], "u"),
                           json_int(body["v"], "v"))]

@@ -58,7 +58,7 @@ from ..estimators import DEFAULT_ESTIMATOR, available_estimators
 from ..scc import DEFAULT_SCC_BACKEND
 from ..errors import AlgorithmError, BudgetExceededError
 from ..graph.influence_graph import InfluenceGraph
-from ..obs import inc, set_gauge, span
+from ..obs import inc, observe, set_gauge, span
 from ..rng import derive_entropy, ensure_rng
 from ..sketch import DEFAULT_SKETCH_K, InfluenceOracle
 from .cache import ModelCache, ModelKey
@@ -196,12 +196,16 @@ class _OracleState:
     oracle — recomputing it per query would forfeit the oracle's whole
     latency win.  ``graph`` is the fine graph the report translates to;
     a retained model served for a new fine-graph epoch keeps the oracle
-    but restates the report.
+    but restates the report.  ``build_seconds`` and ``report_seconds``
+    are the wall time of the oracle build and of the latest report — the
+    cold read's cost, surfaced per oracle under ``/stats``.
     """
 
     oracle: InfluenceOracle
     report: GuaranteeReport
     graph: InfluenceGraph
+    build_seconds: float
+    report_seconds: float
 
 
 class InfluenceService:
@@ -440,15 +444,20 @@ class InfluenceService:
             if state is not None and state.oracle.graph is not model.coarse:
                 state = None
             if state is None:
+                start = time.perf_counter()
                 oracle = InfluenceOracle(
                     model.coarse, r=self.config.r, k=self.config.sketch_k,
                     rng=ensure_rng(self.config.seed),
                 )
+                build_seconds = time.perf_counter() - start
+                observe("serve.sketch.build_seconds", build_seconds)
                 inc("serve.sketch.builds")
+                report, report_seconds = self._sketch_report(graph, model,
+                                                             oracle)
                 state = _OracleState(
-                    oracle=oracle,
-                    report=self._sketch_report(graph, model, oracle),
-                    graph=graph,
+                    oracle=oracle, report=report, graph=graph,
+                    build_seconds=build_seconds,
+                    report_seconds=report_seconds,
                 )
                 self._oracles[skey] = state
                 for stale in [k for k in self._oracles
@@ -458,20 +467,26 @@ class InfluenceService:
                 # A retained model serving a new fine-graph epoch: the
                 # oracle is unchanged but the translated guarantees must
                 # be restated against the current fine graph.
-                state.report = self._sketch_report(graph, model,
-                                                  state.oracle)
+                state.report, state.report_seconds = self._sketch_report(
+                    graph, model, state.oracle)
                 state.graph = graph
             return state
 
     def _sketch_report(self, graph: InfluenceGraph, model: CoarsenResult,
-                       oracle: InfluenceOracle) -> GuaranteeReport:
-        """Theorem 6.1 with the sketch's (eps, delta) envelope folded in."""
-        return guarantee_report(
+                       oracle: InfluenceOracle
+                       ) -> "tuple[GuaranteeReport, float]":
+        """Theorem 6.1 with the sketch's (eps, delta) envelope folded in,
+        and the seconds it took."""
+        start = time.perf_counter()
+        report = guarantee_report(
             graph, model,
             estimation_eps=min(1.0, oracle.eps(self.config.sketch_delta)),
             n_samples=self.config.report_samples,
             rng=ensure_rng(self.config.seed),
         )
+        seconds = time.perf_counter() - start
+        observe("serve.sketch.report_seconds", seconds)
+        return report, seconds
 
     # ------------------------------------------------------------------
     # Sharding
@@ -810,6 +825,8 @@ class InfluenceService:
             }
         with self._count_lock:
             family_queries = dict(self._family_queries)
+        # One snapshot, taken without _oracle_lock (held through a build).
+        oracles = list(self._oracles.items())
         return {
             "models": len(self.cache),
             "model_bytes": self.cache.nbytes(),
@@ -821,7 +838,14 @@ class InfluenceService:
                 "queries": family_queries,
                 "oracles": {
                     key.token(): state.oracle.nbytes
-                    for key, state in self._oracles.items()
+                    for key, state in oracles
+                },
+                "builds": {
+                    key.token(): {
+                        "build_seconds": state.build_seconds,
+                        "report_seconds": state.report_seconds,
+                    }
+                    for key, state in oracles
                 },
             },
             "queue_depth": self._depth,

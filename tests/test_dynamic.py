@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import Delta, DynamicCoarsener, coarsen_addressable
-from repro.errors import CoarseningError
+from repro.errors import CoarseningError, WireFormatError
 from repro.graph import InfluenceGraph
 
 from .conftest import build_graph, random_graph
@@ -332,6 +332,21 @@ class TestBatchedDeltas:
         # edge the request never named.
         with pytest.raises(CoarseningError, match="must be an integer"):
             Delta.from_json({"op": "insert", "u": u, "v": v, "p": 0.5})
+
+    @pytest.mark.parametrize("p", [
+        True, "0.5", [0.5], {"p": 0.5}, float("nan"), float("inf"),
+    ])
+    def test_delta_from_json_rejects_non_number_probability(self, p):
+        # float() would read true as 1.0 and "0.5" as 0.5.
+        with pytest.raises(WireFormatError, match="finite number"):
+            Delta.from_json({"op": "insert", "u": 0, "v": 1, "p": p})
+
+    def test_delta_from_json_accepts_json_numbers(self):
+        assert Delta.from_json({"op": "insert", "u": 0, "v": 1,
+                                "p": 1}).p == 1.0
+        d = Delta.from_json({"op": "insert", "u": 0, "v": 1,
+                             "p": np.float32(0.5)})
+        assert d.p == 0.5 and type(d.p) is float
 
     def test_delta_from_json_accepts_numpy_integers(self):
         d = Delta.from_json({"op": "insert", "u": np.int64(3),

@@ -4,14 +4,17 @@ max-SCC-rate distribution."""
 import numpy as np
 import pytest
 
+import repro.analysis.reliability as reliability_module
 from repro.analysis import (
     estimate_reliability,
     exact_reliability,
     max_scc_rate_samples,
     reliability_product,
 )
+from repro.diffusion.live_edge import sample_live_edge_csr
 from repro.errors import AlgorithmError
 from repro.partition import Partition
+from repro.scc import scc_labels
 
 from .conftest import build_graph
 
@@ -100,3 +103,106 @@ class TestReliabilityProduct:
             exact_edge_limit=4,
         )
         assert 0.8 < got <= 1.0
+
+
+def reference_estimate_reliability(graph, n_samples, rng):
+    """The estimator without the degree prefilter: CSR + SCC per sample."""
+    if graph.n <= 1:
+        return 1.0
+    hits = 0
+    for _ in range(n_samples):
+        indptr, heads = sample_live_edge_csr(graph, rng)
+        if scc_labels(indptr, heads).max(initial=0) == 0:
+            hits += 1
+    return hits / n_samples
+
+
+def reference_reliability_product(graph, partition, n_samples, rng):
+    product = 1.0
+    for block in partition.non_singleton_blocks():
+        product *= reference_estimate_reliability(
+            graph.induced_subgraph(block), n_samples, rng)
+    return product
+
+
+#: Four blocks: dense ones that are sometimes strongly connected, one
+#: whose vertex 11 is a sink inside it and one whose vertex 15 is a
+#: source inside it.
+BLOCKS = [list(range(0, 5)), list(range(5, 11)), list(range(11, 15)),
+          list(range(15, 20))]
+
+
+def blocky_graph(seed: int):
+    rng = np.random.default_rng(seed)
+    edges = {}
+    for block in BLOCKS:
+        for u in block:
+            for v in block:
+                if u != v and rng.random() < 0.8:
+                    edges[(u, v)] = float(rng.uniform(0.6, 0.99))
+    for _ in range(12):
+        u, v = (int(x) for x in rng.integers(0, 20, size=2))
+        if u != v:
+            edges[(u, v)] = 0.5
+    edges = {(u, v): p for (u, v), p in edges.items()
+             if not (u == 11 and v in BLOCKS[2])
+             and not (v == 15 and u in BLOCKS[3])}
+    return build_graph(20, [(u, v, p) for (u, v), p in edges.items()])
+
+
+class TestReliabilityPrefilter:
+    """The degree prefilter changes the work, never the draws or rho."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop_and_stream(self, seed):
+        graph = blocky_graph(seed)
+        partition = Partition.from_blocks(BLOCKS, 20)
+        fast_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = reliability_product(graph, partition, n_samples=300,
+                                  rng=fast_rng, exact_edge_limit=-1)
+        want = reference_reliability_product(graph, partition, 300,
+                                             ref_rng)
+        assert got == want
+        # Every block consumed the same draws, source/sink blocks too.
+        assert fast_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_block_matches_reference(self, seed):
+        graph = blocky_graph(seed)
+        for block in BLOCKS:
+            sub = graph.induced_subgraph(np.asarray(block))
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = estimate_reliability(sub, n_samples=200, rng=fast_rng)
+            assert got == reference_estimate_reliability(sub, 200, ref_rng)
+            assert fast_rng.random() == ref_rng.random()
+
+    def test_dense_block_is_sometimes_strongly_connected(self):
+        # The comparison above must cover samples that reach the SCC pass
+        # and pass it, not only rejected ones.
+        sub = blocky_graph(0).induced_subgraph(np.asarray(BLOCKS[0]))
+        assert 0.0 < estimate_reliability(sub, n_samples=300, rng=0) < 1.0
+
+    def test_prefilter_skips_scc_passes(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scc_labels(*args, **kwargs)
+
+        monkeypatch.setattr(reliability_module, "scc_labels", counting)
+        graph = blocky_graph(1)
+        sink_block = graph.induced_subgraph(np.asarray(BLOCKS[2]))
+        assert estimate_reliability(sink_block, n_samples=100, rng=0) == 0.0
+        assert calls == []
+        ring = build_graph(30, [(i, (i + 1) % 30, 0.9) for i in range(30)]
+                           + [((i + 1) % 30, i, 0.9) for i in range(30)])
+        estimate_reliability(ring, n_samples=200, rng=0)
+        assert 0 < len(calls) < 200
+
+    def test_zero_edge_block_consumes_nothing(self):
+        rng = np.random.default_rng(3)
+        assert estimate_reliability(build_graph(3, []), n_samples=50,
+                                    rng=rng) == 0.0
+        assert rng.random() == np.random.default_rng(3).random()

@@ -537,6 +537,35 @@ class TestKeepAlive:
         assert self._call(conn, "GET", "/healthz") == (200, {"status": "ok"})
         assert len(accepted) == 1
 
+    @pytest.mark.parametrize("path, p", [
+        (path, p)
+        for path in ("/insert_edge", "/apply_deltas")
+        for p in (True, False, "0.5", None, [0.5], {"p": 0.5},
+                  float("nan"), float("inf"), float("-inf"))
+    ])
+    def test_non_number_probabilities_are_bad_request(self, served, path,
+                                                      p):
+        # float() used to read true as p = 1.0 and "0.5" as 0.5; json
+        # writes the non-finite values as NaN/Infinity literals, which
+        # the server's parser accepts.
+        conn, accepted, dynamic = served
+        delta = {"u": 0, "v": 2, "p": p}
+        body = (delta if path == "/insert_edge"
+                else {"deltas": [dict(delta, op="insert")]})
+        status, reply = self._call(conn, "POST", path, body)
+        assert status == 400
+        assert isinstance(reply["error"], str) and reply["error"]
+        assert dynamic.epoch == 0
+        assert self._call(conn, "GET", "/healthz") == (200, {"status": "ok"})
+        assert len(accepted) == 1
+
+    def test_integer_probability_is_accepted(self, served):
+        conn, _, dynamic = served
+        status, _ = self._call(conn, "POST", "/insert_edge",
+                               {"u": 0, "v": 2, "p": 1})
+        assert status == 200
+        assert dynamic.epoch == 1
+
     def test_handler_time_is_observed(self, served):
         conn, _, _ = served
         registry = obs.MetricsRegistry()

@@ -7,7 +7,9 @@ Three layers of evidence:
   stay within the advertised ``sketch_eps(k, delta)`` envelope of it (and
   of an independent RIS estimate) when it is not.  The exact oracle
   reconstructs the realised rounds from :func:`repro.sketch.round_masks`
-  at the oracle's own entropy.
+  at the oracle's own entropy.  The sketch arrays themselves equal a
+  brute-force per-vertex bottom-k, whatever the build's block widths,
+  and a digest recorded before block batching is pinned.
 * **Properties** — Hypothesis checks answers are invariant under seed-set
   permutation (and duplication), and that determinism holds: one entropy,
   one bit pattern.
@@ -16,6 +18,7 @@ Three layers of evidence:
   builds, keyed apart from RR pools by the ``ModelKey.state`` dimension.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -34,7 +37,9 @@ from repro.estimators import (
     imm_sample_size,
     make_estimator,
 )
+from repro import obs
 from repro.graph import InfluenceGraph
+from repro.rng import indexed_rng
 from repro.serve import InfluenceService, ServiceConfig
 from repro.serve.cache import ModelKey
 from repro.sketch import (
@@ -44,6 +49,7 @@ from repro.sketch import (
     round_masks,
     sketch_eps,
 )
+from repro.sketch import oracle as oracle_module
 
 from .conftest import build_graph, random_graph
 
@@ -66,6 +72,139 @@ def exact_live_edge_influence(graph: InfluenceGraph, entropy: int, r: int,
         np.cumsum(counts, out=indptr[1:])
         total += weights[reachable_mask(indptr, h[order], seeds)].sum()
     return total / r
+
+
+def brute_force_bottom_k(graph: InfluenceGraph, entropy: int, r: int,
+                         k: int):
+    """Per-vertex bottom-k by definition: sort every reachable item.
+
+    Rounds come from :func:`round_masks`, ranks from the ``(entropy, r)``
+    stream (exponentials over vertex weights); rank ties go to the smaller
+    flat item, the build's processing order.
+    """
+    n = graph.n
+    keep = round_masks(graph, entropy, r)
+    ranks = (indexed_rng(entropy, r).standard_exponential((r, n))
+             / graph.weights.astype(np.float64)[None, :]).ravel()
+    tails, heads = graph.tails(), graph.heads
+    reachable: "list[list[int]]" = [[] for _ in range(n)]
+    for i in range(r):
+        t, h = tails[keep[i]], heads[keep[i]]
+        order = np.argsort(t, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(t, minlength=n), out=indptr[1:])
+        for v in range(n):
+            mask = reachable_mask(indptr, h[order], np.asarray([v]))
+            reachable[v].extend((i * n + np.flatnonzero(mask)).tolist())
+    out_ranks = np.full((n, k), np.inf)
+    out_items = np.full((n, k), -1, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        items = np.asarray(reachable[v], dtype=np.int64)
+        items = items[np.lexsort((items, ranks[items]))][:k]
+        out_ranks[v, :items.size] = ranks[items]
+        out_items[v, :items.size] = items
+        counts[v] = items.size
+    return out_ranks, out_items, counts
+
+
+def assert_matches_brute_force(oracle: InfluenceOracle) -> None:
+    ranks, items, counts = brute_force_bottom_k(
+        oracle.graph, oracle.entropy, oracle.r, oracle.k)
+    assert np.array_equal(oracle.items, items)
+    assert np.array_equal(oracle.ranks, ranks)
+    assert np.array_equal(oracle.counts, counts)
+
+
+def sketch_arrays_digest(oracle: InfluenceOracle) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for array in (oracle.ranks, oracle.items, oracle.counts):
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+@st.composite
+def sketch_cases(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=len(pairs))) if pairs else []
+    probs = draw(st.lists(st.floats(0.05, 1.0), min_size=len(edges),
+                          max_size=len(edges)))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.asarray(draw(st.lists(
+            st.integers(1, 5), min_size=n, max_size=n)), dtype=np.int64)
+    graph = InfluenceGraph.from_edges(
+        n, np.asarray([u for u, _ in edges], dtype=np.int64),
+        np.asarray([v for _, v in edges], dtype=np.int64),
+        np.asarray(probs, dtype=np.float64), weights=weights)
+    return graph, draw(st.integers(1, 4)), draw(st.integers(4, 12))
+
+
+class TestBlockBatchedBuild:
+    """The block-batched build against the definition of a bottom-k sketch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sketch_cases(), seed=st.integers(0, 2**16))
+    def test_matches_brute_force_bottom_k(self, case, seed):
+        graph, r, k = case
+        assert_matches_brute_force(InfluenceOracle(graph, r=r, k=k,
+                                                   rng=seed))
+
+    @pytest.mark.parametrize("n, m, r, k, complete", [
+        (10, 35, 4, 64, True),  # k > r * n: every sketch complete
+        (40, 400, 6, 8, False),  # dense: most sketches saturated
+    ])
+    def test_brute_force_complete_and_saturated(self, n, m, r, k,
+                                                complete):
+        oracle = InfluenceOracle(random_graph(n, m, seed=61), r=r, k=k,
+                                 rng=62)
+        assert bool((oracle.counts < k).all()) is complete
+        if not complete:
+            assert (oracle.counts == k).mean() > 0.5
+        assert_matches_brute_force(oracle)
+
+    def test_state_digest_pin(self):
+        # Recorded from the one-item-at-a-time build that preceded block
+        # batching.  The sketch arrays are exact arithmetic; the full
+        # digest also hashes point estimates, which go through np.expm1.
+        g = random_graph(2000, 20000, seed=0)
+        oracle = InfluenceOracle(g, r=16, k=64, rng=0)
+        assert sketch_arrays_digest(oracle) == (
+            "cb882333f3e1d7cd1579e278910d6d3f")
+        assert oracle.state_digest() == "82d0f94e5c823a9f3e4c1d6247ce5fb6"
+
+    @pytest.mark.parametrize("n, m, r, k", [
+        (60, 600, 8, 32),  # saturated
+        (12, 30, 3, 64),  # complete
+    ])
+    def test_block_width_invariance(self, monkeypatch, n, m, r, k):
+        g = random_graph(n, m, seed=7)
+        digests = {}
+        schedules = {
+            "default": (1, oracle_module.SKETCH_BLOCK_CAP),
+            "width 1": (1, 1),
+            "odd width": (7, 7),
+            "odd cap": (1, 5),
+            "wider than r*n": (r * n + 3, r * n + 3),
+        }
+        for name, (first, cap) in schedules.items():
+            monkeypatch.setattr(oracle_module, "_FIRST_BLOCK", first)
+            monkeypatch.setattr(oracle_module, "SKETCH_BLOCK_CAP", cap)
+            oracle = InfluenceOracle(g, r=r, k=k, rng=2)
+            digests[name] = oracle.state_digest()
+        assert len(set(digests.values())) == 1, digests
+
+    def test_insertions_stay_near_k_per_vertex(self):
+        # Recording stops once a vertex holds k insertions at a block's
+        # start: the fold's input is far below the r * n * k the
+        # per-copy sketches could hold.
+        g = random_graph(300, 3000, seed=67)
+        oracle = InfluenceOracle(g, r=8, k=16, rng=68)
+        assert (oracle.counts == 16).all()
+        assert oracle.stats.insertions < 4 * g.n * 16
+        assert oracle.stats.pruned > 0
 
 
 class TestEnvelope:
@@ -279,6 +418,24 @@ class TestServing:
             answer = svc.maximize(g, k=2, n_samples=500)
             assert len(answer.seeds) == 2
             assert len(svc.stats()["pools"]) == 1
+
+    def test_stats_report_cold_read_cost(self):
+        g = self._graph()
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry), InfluenceService(ServiceConfig(
+                r=4, estimator="sketch", sketch_k=16)) as svc:
+            svc.estimate(g, [0])
+            svc.estimate(g, [1])  # warm: no second build or report
+            stats = svc.stats()["estimator"]
+        assert stats["builds"].keys() == stats["oracles"].keys()
+        (cost,) = stats["builds"].values()
+        assert cost["build_seconds"] > 0 and cost["report_seconds"] > 0
+        timers = registry.snapshot()["timers"]
+        for name, key in (("serve.sketch.build_seconds", "build_seconds"),
+                          ("serve.sketch.report_seconds",
+                           "report_seconds")):
+            assert timers[name]["count"] == 1
+            assert timers[name]["total"] == pytest.approx(cost[key])
 
     def test_sketch_answer_matches_direct_oracle(self):
         g = self._graph()
