@@ -48,8 +48,6 @@ from .core import (
     coarsen,
     coarsen_addressable,
     coarsen_influence_graph,
-    coarsen_influence_graph_parallel,
-    coarsen_influence_graph_sublinear,
     estimate_on_coarse,
     maximize_on_coarse,
     robust_scc_partition,
@@ -76,7 +74,7 @@ from .partition import Partition
 from .serve import DynamicModel, InfluenceService, QueryResult, ServiceConfig
 from .storage import PairStore, TripletStore
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # graph substrate
@@ -91,8 +89,6 @@ __all__ = [
     "coarsen",
     "robust_scc_partition",
     "coarsen_influence_graph",
-    "coarsen_influence_graph_sublinear",
-    "coarsen_influence_graph_parallel",
     "DynamicCoarsener",
     "Delta",
     "coarsen_addressable",

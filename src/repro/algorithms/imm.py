@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..core.frameworks import MaximizationResult
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError
@@ -37,10 +36,10 @@ __all__ = ["IMMMaximizer"]
 class IMMMaximizer:
     """IMM with parameters ``eps`` (accuracy) and ``l`` (confidence exponent).
 
-    ``max_samples`` (the 1.0 spelling ``max_sets=`` is deprecated) caps the
-    sketch budget so adversarial parameterisations cannot exhaust memory;
-    hitting the cap raises unless ``allow_cap`` is set, in which case the
-    run degrades to fixed-budget RIS semantics.
+    ``max_samples`` caps the sketch budget so adversarial
+    parameterisations cannot exhaust memory; hitting the cap raises unless
+    ``allow_cap`` is set, in which case the run degrades to fixed-budget
+    RIS semantics.
     """
 
     def __init__(
@@ -49,29 +48,19 @@ class IMMMaximizer:
         *,
         l: float = 1.0,
         rng=None,
-        max_samples=MISSING,
+        max_samples: int = 2_000_000,
         allow_cap: bool = True,
         model: str = "ic",
-        max_sets=MISSING,
     ) -> None:
         if not 0.0 < eps < 1.0:
             raise AlgorithmError("eps must lie in (0, 1)")
         self.eps = eps
         self.l = l
         self._rng = ensure_rng(rng)
-        self.max_samples = deprecated_alias(
-            "IMMMaximizer", "max_samples", max_samples, "max_sets", max_sets,
-            default=2_000_000,
-        )
+        self.max_samples = max_samples
         self.allow_cap = allow_cap
         self.model = model
         self.examined_edges = 0
-
-    @property
-    def max_sets(self) -> int:
-        """Deprecated 1.0 alias of :attr:`max_samples` (removed in 2.0)."""
-        warn_deprecated("IMMMaximizer.max_sets", "IMMMaximizer.max_samples")
-        return self.max_samples
 
     def select(self, graph: InfluenceGraph, k: int) -> MaximizationResult:
         """Select a size-``k`` seed set; returns a :class:`MaximizationResult`."""

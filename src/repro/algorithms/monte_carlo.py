@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..diffusion.simulator import SimulationStats, estimate_influence
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
@@ -27,45 +26,19 @@ class MonteCarloEstimator:
     n_samples:
         Simulations per estimate (default 10,000).  The paper uses 100,000
         for ground truth; tens of thousands suffice in practice [10, 22].
-        The 1.0 spelling ``n_simulations=`` is deprecated.
     rng:
         Seed or generator (shared across estimates on this instance).
 
-    Direct construction is deprecated since 1.2: obtain instances through
-    ``repro.estimators.make_estimator("mc", ...)`` (removed in 2.0).
+    ``repro.estimators.make_estimator("mc", ...)`` builds the same instance
+    by family name.
     """
 
-    def __init__(self, n_samples=MISSING, *, rng=None,
-                 n_simulations=MISSING) -> None:
-        warn_deprecated("MonteCarloEstimator(...)",
-                        'repro.estimators.make_estimator("mc", ...)')
-        n_samples = deprecated_alias(
-            "MonteCarloEstimator", "n_samples", n_samples,
-            "n_simulations", n_simulations, default=10_000,
-        )
-        self._init(n_samples, rng=rng)
-
-    @classmethod
-    def _make(cls, n_samples: int = 10_000, *, rng=None
-              ) -> "MonteCarloEstimator":
-        """The registry's construction path (no deprecation warning)."""
-        est = cls.__new__(cls)
-        est._init(n_samples, rng=rng)
-        return est
-
-    def _init(self, n_samples: int, *, rng) -> None:
+    def __init__(self, n_samples: int = 10_000, *, rng=None) -> None:
         if n_samples <= 0:
             raise AlgorithmError("n_samples must be positive")
         self.n_samples = n_samples
         self._rng = ensure_rng(rng)
         self.stats = SimulationStats()
-
-    @property
-    def n_simulations(self) -> int:
-        """Deprecated 1.0 alias of :attr:`n_samples` (removed in 2.0)."""
-        warn_deprecated("MonteCarloEstimator.n_simulations",
-                        "MonteCarloEstimator.n_samples")
-        return self.n_samples
 
     def estimate(self, graph: InfluenceGraph, seeds: np.ndarray) -> float:
         """The mean activated weight over ``n_samples`` runs."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..core.frameworks import MaximizationResult
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError
@@ -39,29 +38,19 @@ class RISMaximizer:
     n_samples:
         Sketch budget (number of RR sets, default 10,000).  No adaptive
         guarantee; accuracy grows with the budget as in the Borgs et al.
-        analysis.  The 1.0 spelling ``n_sets=`` is deprecated.
+        analysis.
     rng:
         Seed or generator for sketch sampling.
     """
 
-    def __init__(self, n_samples=MISSING, *, rng=None, model: str = "ic",
-                 n_sets=MISSING) -> None:
-        n_samples = deprecated_alias(
-            "RISMaximizer", "n_samples", n_samples, "n_sets", n_sets,
-            default=10_000,
-        )
+    def __init__(self, n_samples: int = 10_000, *, rng=None,
+                 model: str = "ic") -> None:
         if n_samples <= 0:
             raise AlgorithmError("n_samples must be positive")
         self.n_samples = n_samples
         self._rng = ensure_rng(rng)
         self.model = model
         self.examined_edges = 0
-
-    @property
-    def n_sets(self) -> int:
-        """Deprecated 1.0 alias of :attr:`n_samples` (removed in 2.0)."""
-        warn_deprecated("RISMaximizer.n_sets", "RISMaximizer.n_samples")
-        return self.n_samples
 
     def select(self, graph: InfluenceGraph, k: int) -> MaximizationResult:
         """Select a size-``k`` seed set; returns a :class:`MaximizationResult`."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
@@ -36,13 +35,12 @@ class RISEstimator:
     ----------
     n_samples:
         Sketch size (default 20,000); the additive error of one query is
-        ``O(W / sqrt(n_samples))`` with high probability.  The 1.0
-        spelling ``n_sets=`` is deprecated.
+        ``O(W / sqrt(n_samples))`` with high probability.
     rng:
         Seed or generator for sketch sampling.
 
-    Direct construction is deprecated since 1.2: obtain instances through
-    ``repro.estimators.make_estimator("ris", ...)`` (removed in 2.0).
+    ``repro.estimators.make_estimator("ris", ...)`` builds the same
+    instance by family name.
 
     Notes
     -----
@@ -51,25 +49,8 @@ class RISEstimator:
     construction plus q coverage lookups.
     """
 
-    def __init__(self, n_samples=MISSING, *, rng=None, model: str = "ic",
-                 n_sets=MISSING) -> None:
-        warn_deprecated("RISEstimator(...)",
-                        'repro.estimators.make_estimator("ris", ...)')
-        n_samples = deprecated_alias(
-            "RISEstimator", "n_samples", n_samples, "n_sets", n_sets,
-            default=20_000,
-        )
-        self._init(n_samples, rng=rng, model=model)
-
-    @classmethod
-    def _make(cls, n_samples: int = 20_000, *, rng=None,
-              model: str = "ic") -> "RISEstimator":
-        """The registry's construction path (no deprecation warning)."""
-        est = cls.__new__(cls)
-        est._init(n_samples, rng=rng, model=model)
-        return est
-
-    def _init(self, n_samples: int, *, rng, model: str) -> None:
+    def __init__(self, n_samples: int = 20_000, *, rng=None,
+                 model: str = "ic") -> None:
         if n_samples <= 0:
             raise AlgorithmError("n_samples must be positive")
         self.n_samples = n_samples
@@ -79,12 +60,6 @@ class RISEstimator:
         self._coverage: CoverageInstance | None = None
         self._total_weight = 0.0
         self.examined_edges = 0
-
-    @property
-    def n_sets(self) -> int:
-        """Deprecated 1.0 alias of :attr:`n_samples` (removed in 2.0)."""
-        warn_deprecated("RISEstimator.n_sets", "RISEstimator.n_samples")
-        return self.n_samples
 
     @classmethod
     def from_coverage(
@@ -109,7 +84,7 @@ class RISEstimator:
             raise AlgorithmError(
                 f"n_samples must lie in [1, {coverage.n_sets}]"
             )
-        est = cls._make(limit)
+        est = cls(limit)
         est._graph = graph
         est._coverage = coverage
         est._total_weight = float(total_weight)

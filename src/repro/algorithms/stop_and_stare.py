@@ -33,7 +33,6 @@ import math
 
 import numpy as np
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..core.frameworks import MaximizationResult
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError, BudgetExceededError
@@ -53,11 +52,10 @@ class _StopAndStareBase:
         *,
         delta: float = 0.01,
         rng=None,
-        max_samples=MISSING,
+        max_samples: int = 1_000_000,
         memory_budget_sets: int | None = None,
         memory_budget_elements: int | None = None,
         model: str = "ic",
-        max_sets=MISSING,
     ) -> None:
         if not 0.0 < eps < 1.0 - 2.0 / math.e:
             raise AlgorithmError("eps must lie in (0, 1 - 2/e)")
@@ -66,22 +64,12 @@ class _StopAndStareBase:
         self.eps = eps
         self.delta = delta
         self._rng = ensure_rng(rng)
-        self.max_samples = deprecated_alias(
-            type(self).__name__, "max_samples", max_samples,
-            "max_sets", max_sets, default=1_000_000,
-        )
+        self.max_samples = max_samples
         self.memory_budget_sets = memory_budget_sets
         self.memory_budget_elements = memory_budget_elements
         self.model = model
         self.examined_edges = 0
         self._elements_stored = 0
-
-    @property
-    def max_sets(self) -> int:
-        """Deprecated 1.0 alias of :attr:`max_samples` (removed in 2.0)."""
-        name = type(self).__name__
-        warn_deprecated(f"{name}.max_sets", f"{name}.max_samples")
-        return self.max_samples
 
     def _n_max(self, n: int, w_total: float, k: int) -> int:
         """Worst-case RR-set budget (the algorithms stop far earlier)."""

@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .._compat import MISSING, deprecated_alias, warn_deprecated
 from ..core.frameworks import MaximizationResult
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError
@@ -37,9 +36,8 @@ __all__ = ["TIMPlusMaximizer"]
 class TIMPlusMaximizer:
     """TIM+ with accuracy ``eps`` and confidence exponent ``l``.
 
-    ``max_samples`` (the 1.0 spelling ``max_sets=`` is deprecated) bounds
-    the sketch (degrading to fixed-budget behaviour when hit, reported in
-    ``extras``).
+    ``max_samples`` bounds the sketch (degrading to fixed-budget behaviour
+    when hit, reported in ``extras``).
     """
 
     def __init__(
@@ -48,28 +46,17 @@ class TIMPlusMaximizer:
         *,
         l: float = 1.0,
         rng=None,
-        max_samples=MISSING,
+        max_samples: int = 2_000_000,
         model: str = "ic",
-        max_sets=MISSING,
     ) -> None:
         if not 0.0 < eps < 1.0:
             raise AlgorithmError("eps must lie in (0, 1)")
         self.eps = eps
         self.l = l
         self._rng = ensure_rng(rng)
-        self.max_samples = deprecated_alias(
-            "TIMPlusMaximizer", "max_samples", max_samples,
-            "max_sets", max_sets, default=2_000_000,
-        )
+        self.max_samples = max_samples
         self.model = model
         self.examined_edges = 0
-
-    @property
-    def max_sets(self) -> int:
-        """Deprecated 1.0 alias of :attr:`max_samples` (removed in 2.0)."""
-        warn_deprecated("TIMPlusMaximizer.max_sets",
-                        "TIMPlusMaximizer.max_samples")
-        return self.max_samples
 
     def _kpt_estimation(self, graph: InfluenceGraph, k: int,
                         sampler: RRSampler, rr_sets: list) -> float:

@@ -5,17 +5,9 @@
   and Algorithm 6 (``executor=`` / ``workers=``);
 * :class:`DynamicCoarsener` — Algorithm 7;
 * :func:`estimate_on_coarse` / :func:`maximize_on_coarse` — Algorithms 3/4.
-
-``coarsen_influence_graph_parallel`` / ``coarsen_influence_graph_sublinear``
-are deprecated 1.0 spellings (removed in 2.0) that delegate to the same
-implementations.
 """
 
-from .api import (
-    coarsen_influence_graph,
-    coarsen_influence_graph_parallel,
-    coarsen_influence_graph_sublinear,
-)
+from .api import coarsen_influence_graph
 from .coarsen import check_partition_strongly_connected, coarsen
 from .dynamic import Delta, DynamicCoarsener, DynamicStats, coarsen_addressable
 from .frameworks import (
@@ -43,8 +35,6 @@ __all__ = [
     "robust_scc_partition",
     "robust_scc_refinement_sequence",
     "coarsen_influence_graph",
-    "coarsen_influence_graph_sublinear",
-    "coarsen_influence_graph_parallel",
     "split_rounds",
     "GraphHandle",
     "SublinearResult",

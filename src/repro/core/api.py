@@ -1,10 +1,8 @@
-"""The unified coarsening entry point (and the deprecated 1.0 spellings).
+"""The unified coarsening entry point.
 
-Through 1.0 the library grew three parallel entry points — Algorithm 1
-(:mod:`.linear_space`), Algorithm 2 (:mod:`.sublinear_space`) and
-Algorithm 6 (:mod:`.parallel`) — whose names encoded the implementation
-rather than the intent.  :func:`coarsen_influence_graph` now fronts all
-three behind two orthogonal knobs:
+:func:`coarsen_influence_graph` fronts the three coarsening algorithms —
+Algorithm 1 (:mod:`.linear_space`), Algorithm 2 (:mod:`.sublinear_space`)
+and Algorithm 6 (:mod:`.parallel`) — behind two orthogonal knobs:
 
 * ``space`` — ``"linear"`` (in memory, the default) or ``"sublinear"``
   (disk streaming; the input is a :class:`~repro.storage.TripletStore` and
@@ -13,19 +11,12 @@ three behind two orthogonal knobs:
   for the linear-space path; passing ``workers`` (or a non-serial
   executor) selects Algorithm 6, whose output is byte-identical to
   Algorithm 1 for a fixed ``(r, workers, rng)``.
-
-The 1.0 names ``coarsen_influence_graph_parallel`` and
-``coarsen_influence_graph_sublinear`` remain importable as thin
-:class:`DeprecationWarning` shims that delegate to the same
-implementations (so results are byte-identical); they disappear in 2.0
-(``docs/API.md``, "Stability and migration").
 """
 
 from __future__ import annotations
 
 import os
 
-from .._compat import warn_deprecated
 from ..errors import CoarseningError
 from ..graph.influence_graph import InfluenceGraph
 from ..scc import DEFAULT_SCC_BACKEND
@@ -39,11 +30,7 @@ from .sublinear_space import (
     coarsen_influence_graph_sublinear as _coarsen_sublinear,
 )
 
-__all__ = [
-    "coarsen_influence_graph",
-    "coarsen_influence_graph_parallel",
-    "coarsen_influence_graph_sublinear",
-]
+__all__ = ["coarsen_influence_graph"]
 
 _SPACES = ("linear", "sublinear")
 
@@ -171,51 +158,3 @@ def coarsen_influence_graph(
         scc_backend=backend,
     )
 
-
-def coarsen_influence_graph_parallel(
-    graph: InfluenceGraph,
-    r: int = 16,
-    workers: int = 4,
-    rng=None,
-    executor: str = "thread",
-    scc_backend: str = DEFAULT_SCC_BACKEND,
-) -> CoarsenResult:
-    """Deprecated 1.0 spelling of the parallel path (Algorithm 6).
-
-    Delegates to the implementation behind
-    ``coarsen_influence_graph(..., executor=..., workers=...)`` unchanged,
-    so results are byte-identical; removed in 2.0.
-    """
-    warn_deprecated(
-        "coarsen_influence_graph_parallel()",
-        "coarsen_influence_graph(..., executor=..., workers=...)",
-    )
-    return _coarsen_parallel(graph, r=r, workers=workers, rng=rng,
-                             executor=executor, scc_backend=scc_backend)
-
-
-def coarsen_influence_graph_sublinear(
-    source: TripletStore,
-    out_path: "str | os.PathLike[str]",
-    r: int = 16,
-    rng=None,
-    work_dir: "str | os.PathLike[str] | None" = None,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
-    keep_sample_stores: bool = False,
-    scc_backend: str = "semi-external",
-) -> SublinearResult:
-    """Deprecated 1.0 spelling of the sublinear path (Algorithm 2).
-
-    Delegates to the implementation behind
-    ``coarsen_influence_graph(store, space="sublinear", out_path=...)``
-    unchanged, so results are byte-identical; removed in 2.0.
-    """
-    warn_deprecated(
-        "coarsen_influence_graph_sublinear()",
-        "coarsen_influence_graph(..., space='sublinear', out_path=...)",
-    )
-    return _coarsen_sublinear(
-        source, out_path, r=r, rng=rng, work_dir=work_dir,
-        chunk_edges=chunk_edges, keep_sample_stores=keep_sample_stores,
-        scc_backend=scc_backend,
-    )

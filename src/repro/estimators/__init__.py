@@ -26,10 +26,10 @@ constructs a protocol-conforming estimator
 :class:`~repro.analysis.bounds.GuaranteeReport` folds the family's
 advertised accuracy into Theorem 6.1.
 
-Direct construction (``MonteCarloEstimator(...)``, ``RISEstimator(...)``)
-is deprecated since 1.2 and keeps working through :mod:`repro._compat`
-shims until 2.0; CI runs with ``-W error::DeprecationWarning``, so every
-in-repo call site goes through this registry.
+The registry factories call the estimator constructors directly, so
+``make_estimator("mc", n_samples=n, rng=s)`` and
+``MonteCarloEstimator(n, rng=s)`` build identical instances; the registry
+adds the family-name dispatch and each family's advertised eps.
 """
 
 from __future__ import annotations
@@ -176,14 +176,14 @@ def _check_model(spec: EstimatorSpec, model: str) -> None:
 def _make_mc(model: str, rng: RngLike, *, n_samples: int = 10_000):
     from ..algorithms.monte_carlo import MonteCarloEstimator
 
-    est = MonteCarloEstimator._make(n_samples, rng=rng)
+    est = MonteCarloEstimator(n_samples, rng=rng)
     return est, min(1.0, 1.0 / math.sqrt(n_samples))
 
 
 def _make_ris(model: str, rng: RngLike, *, n_samples: int = 20_000):
     from ..algorithms.ris_estimator import RISEstimator
 
-    est = RISEstimator._make(n_samples, rng=rng, model=model)
+    est = RISEstimator(n_samples, rng=rng, model=model)
     return est, min(1.0, 1.0 / math.sqrt(n_samples))
 
 
@@ -192,7 +192,7 @@ def _make_imm(model: str, rng: RngLike, *, eps: float = 0.1,
     from ..algorithms.ris_estimator import RISEstimator
 
     n_samples = imm_sample_size(eps, delta)
-    est = RISEstimator._make(n_samples, rng=rng, model=model)
+    est = RISEstimator(n_samples, rng=rng, model=model)
     return est, eps
 
 

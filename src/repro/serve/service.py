@@ -699,7 +699,7 @@ class InfluenceService:
         start = time.perf_counter()
         with span("serve.estimate", seeds=len(seeds), n_samples=requested,
                   estimator="mc"):
-            est = MonteCarloEstimator._make(
+            est = MonteCarloEstimator(
                 requested, rng=ensure_rng(self.config.seed)
             )
             value = estimate_on_coarse(
@@ -827,11 +827,15 @@ class InfluenceService:
             family_queries = dict(self._family_queries)
         # One snapshot, taken without _oracle_lock (held through a build).
         oracles = list(self._oracles.items())
+        # Copy under the lock, name outside it: token() hashes, and
+        # _pool_for / _publish_epoch resize the dict concurrently.
+        with self._pool_lock:
+            pools = list(self._pools.items())
         return {
             "models": len(self.cache),
             "model_bytes": self.cache.nbytes(),
             "pools": {
-                key.token(): pool.size for key, pool in self._pools.items()
+                key.token(): pool.size for key, pool in pools
             },
             "estimator": {
                 "family": self.config.estimator,

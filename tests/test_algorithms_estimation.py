@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import MonteCarloEstimator, RISEstimator
 from repro.estimators import make_estimator
 from repro.analysis import exact_influence
 from repro.errors import AlgorithmError
@@ -54,3 +55,17 @@ class TestMonteCarloEstimator:
         a = make_estimator("mc", n_samples=500, rng=9).estimate(paper_graph, np.array([0]))
         b = make_estimator("mc", n_samples=500, rng=9).estimate(paper_graph, np.array([0]))
         assert a == b
+
+
+class TestRegistryConstruction:
+    @pytest.mark.parametrize("family,cls,n_samples", [
+        ("mc", MonteCarloEstimator, 500),
+        ("ris", RISEstimator, 800),
+    ], ids=["mc", "ris"])
+    def test_matches_direct_constructor(self, family, cls, n_samples):
+        g = random_graph(40, 160, seed=8)
+        seeds = np.array([0, 3])
+        direct = cls(n_samples, rng=7).estimate(g, seeds)
+        registry = make_estimator(family, n_samples=n_samples, rng=7)
+        assert type(registry) is cls
+        assert registry.estimate(g, seeds) == direct

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import RISEstimator
+from repro.diffusion.rr_sets import CoverageInstance, RRSampler
 from repro.estimators import make_estimator
 from repro.analysis import exact_influence, guarantee_report
 from repro.core import coarsen_influence_graph, estimate_on_coarse
@@ -57,6 +59,13 @@ class TestRISEstimator:
             make_estimator("ris", n_samples=10, rng=0).estimate(
                 paper_graph, np.array([], dtype=np.int64)
             )
+
+    def test_from_coverage_uses_whole_collection(self):
+        g = random_graph(30, 90, seed=9)
+        sampler = RRSampler(g, rng=0)
+        coverage = CoverageInstance(sampler.sample_batch(50), g.n)
+        est = RISEstimator.from_coverage(g, coverage, sampler.total_weight)
+        assert est.n_samples == coverage.n_sets == 50
 
 
 class TestGuaranteeReport:

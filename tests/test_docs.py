@@ -87,3 +87,15 @@ class TestTheoryMap:
             parent, _, attr = module_path.rpartition(".")
             mod = importlib.import_module(parent)
             assert hasattr(mod, attr), f"THEORY.md references missing {match}"
+
+
+class TestApiReference:
+    def test_api_md_matches_generator(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "build_api_doc", ROOT / "scripts" / "build_api_doc.py")
+        builder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(builder)
+        assert builder.render() == read("docs/API.md"), (
+            "docs/API.md is stale; run python scripts/build_api_doc.py")

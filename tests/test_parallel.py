@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import GraphHandle, coarsen_influence_graph
-from repro.errors import AlgorithmError, PartitionError
+from repro.core.parallel import coarsen_influence_graph_parallel
+from repro.errors import AlgorithmError, CoarseningError, PartitionError
 from repro.partition import Partition, meet_all
 
 from .conftest import random_graph
@@ -206,3 +207,27 @@ class TestMeetTree:
         with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
             pooled = meet_all(parts, map_fn=pool.map)
         assert pooled == meet_all(parts)
+
+
+class TestFacadeDispatch:
+    def test_serial_matches_direct_parallel_call(self):
+        g = random_graph(40, 160, seed=4)
+        parallel = coarsen_influence_graph_parallel(
+            g, r=4, workers=3, rng=1, executor="serial"
+        )
+        facade = coarsen_influence_graph(g, r=4, workers=3, rng=1,
+                                         executor="serial")
+        assert parallel.coarse == facade.coarse
+
+    def test_workers_alone_selects_algorithm_6(self):
+        g = random_graph(40, 160, seed=4)
+        res = coarsen_influence_graph(g, r=4, workers=2, rng=0,
+                                      executor="thread")
+        assert res.stats.extras["executor"] == "thread"
+
+    def test_linear_rejects_sublinear_knobs(self, tmp_path):
+        g = random_graph(20, 60, seed=0)
+        with pytest.raises(CoarseningError, match="sublinear"):
+            coarsen_influence_graph(g, r=2, out_path=tmp_path / "x")
+        with pytest.raises(CoarseningError, match="out_path"):
+            coarsen_influence_graph(g, r=2, space="sublinear")

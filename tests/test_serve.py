@@ -326,6 +326,35 @@ class TestInfluenceService:
         assert list(stats["pools"].values()) == [500]
         json.dumps(stats)  # must be JSON-able for /stats
 
+    def test_stats_survives_pool_insert_mid_snapshot(self, graph,
+                                                     monkeypatch):
+        """A pool created while /stats lists the pools must not abort the
+        listing; the tokens are computed outside ``_pool_lock``, or the
+        nested pool creation below would deadlock."""
+        other = random_graph(60, 200, seed=5)
+        with InfluenceService(ServiceConfig(r=4, n_samples=500,
+                                            min_samples=64)) as svc:
+            svc.estimate(graph, [0])
+            original = ModelKey.token
+            fired = []
+
+            def token(key):
+                if not fired:
+                    fired.append(True)
+                    svc.estimate(other, [0])  # inserts a second pool
+                return original(key)
+
+            monkeypatch.setattr(ModelKey, "token", token)
+            result = []
+            worker = threading.Thread(
+                target=lambda: result.append(svc.stats()), daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "stats() deadlocked"
+            monkeypatch.undo()
+            assert fired and len(result) == 1
+            assert len(svc.stats()["pools"]) == 2
+
 
 class TestHTTP:
     @pytest.fixture
