@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffusion.reachability import gather_ranges
+from ..diffusion.reachability import gather_ranges, sorted_distinct
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
 from ..rng import ensure_rng
@@ -66,7 +66,7 @@ def generate_cascades(
                 break
             success = rng.random(edge_idx.size) < graph.probs[edge_idx]
             targets = graph.heads[edge_idx[success]]
-            new = np.unique(targets[steps[targets] == -1])
+            new = sorted_distinct(targets[steps[targets] == -1])
             if new.size == 0:
                 break
             t += 1

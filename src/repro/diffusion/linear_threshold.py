@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
 from ..rng import ensure_rng
-from .reachability import gather_ranges, reachable_weight
+from .reachability import gather_ranges, reachable_weight, sorted_distinct
 
 __all__ = [
     "validate_lt_weights",
@@ -99,14 +99,14 @@ def simulate_lt_once(
     active = np.zeros(graph.n, dtype=bool)
     active[seeds] = True
     pressure = np.zeros(graph.n, dtype=np.float64)
-    frontier = np.unique(seeds)
+    frontier = sorted_distinct(seeds.flatten())
     while frontier.size:
         edge_idx = gather_ranges(graph.indptr[frontier], graph.indptr[frontier + 1])
         if edge_idx.size == 0:
             break
         targets = graph.heads[edge_idx]
         np.add.at(pressure, targets, graph.probs[edge_idx])
-        crossed = np.unique(targets)
+        crossed = sorted_distinct(targets)
         newly = crossed[
             ~active[crossed] & (pressure[crossed] >= thresholds[crossed])
         ]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_ranges", "reachable_mask", "reachable_weight"]
+__all__ = ["gather_ranges", "reachable_mask", "reachable_weight",
+           "sorted_distinct"]
 
 
 def gather_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -18,18 +19,38 @@ def gather_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     This is the core CSR-slice gather used by every BFS/diffusion loop:
     given frontier vertices' edge ranges it yields the flat edge indices.
+    Range ``i`` occupies output slots ``[offset_i, offset_i + count_i)``,
+    so slot ``j`` holds ``j + (starts[i] - offset_i)``: one ``arange`` plus
+    one ``repeat`` of the per-range shift (empty ranges repeat zero times).
     """
     counts = ends - starts
-    nonzero = counts > 0
-    starts, ends, counts = starts[nonzero], ends[nonzero], counts[nonzero]
-    total = int(counts.sum())
+    offsets = np.cumsum(counts, dtype=np.int64)
+    total = int(offsets[-1]) if offsets.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(counts)[:-1]
-    out[boundaries] = starts[1:] - ends[:-1] + 1
-    return np.cumsum(out)
+    offsets -= counts
+    out = np.arange(total, dtype=np.int64)
+    out += np.repeat(starts - offsets, counts)
+    return out
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values`` in ascending order, sorting in place.
+
+    Equal to ``np.unique(values)`` for a 1-D integer array, but by a sort
+    plus an adjacent-difference mask: on numpy >= 2.3 ``np.unique`` takes a
+    hash-table path that is several times slower than sorting for BFS
+    frontiers.  Every frontier loop dedupes through here, and the result
+    stays sorted because the frontier order fixes the order of the coin
+    flips drawn for it.  ``values`` is reordered; pass a copy to keep it.
+    """
+    values.sort()
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return np.compress(keep, values)
 
 
 def reachable_mask(
@@ -38,7 +59,7 @@ def reachable_mask(
     """Boolean mask of vertices reachable from ``sources`` (inclusive)."""
     n = indptr.size - 1
     visited = np.zeros(n, dtype=bool)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    frontier = sorted_distinct(np.asarray(sources, dtype=np.int64).flatten())
     visited[frontier] = True
     while frontier.size:
         edge_idx = gather_ranges(indptr[frontier], indptr[frontier + 1])
@@ -48,7 +69,7 @@ def reachable_mask(
         new = targets[~visited[targets]]
         if new.size == 0:
             break
-        frontier = np.unique(new)
+        frontier = sorted_distinct(new)
         visited[frontier] = True
     return visited
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
 from ..rng import ensure_rng
-from .reachability import gather_ranges
+from .reachability import gather_ranges, sorted_distinct
 
 __all__ = ["RRSampler", "CoverageInstance"]
 
@@ -91,24 +91,28 @@ class RRSampler:
             root = self.sample_root(rng=gen)
         if self.model == "lt":
             return self._sample_lt(root, rng=gen)
-        rev = self._rev
+        indptr, heads, probs = self._rev.indptr, self._rev.heads, self._rev.probs
+        marks = self._visit_stamp
         self._stamp += 1
         stamp = self._stamp
-        self._visit_stamp[root] = stamp
+        marks[root] = stamp
         frontier = np.asarray([root], dtype=np.int64)
         collected = [frontier]
+        # np.take / np.compress do what fancy and boolean indexing do here,
+        # with less per-call overhead; the level's work is unchanged.
         while frontier.size:
-            edge_idx = gather_ranges(rev.indptr[frontier], rev.indptr[frontier + 1])
+            edge_idx = gather_ranges(np.take(indptr, frontier),
+                                     np.take(indptr, frontier + 1))
             if edge_idx.size == 0:
                 break
             self.examined_edges += edge_idx.size
-            success = gen.random(edge_idx.size) < rev.probs[edge_idx]
-            targets = rev.heads[edge_idx[success]]
-            new = targets[self._visit_stamp[targets] != stamp]
+            success = gen.random(edge_idx.size) < np.take(probs, edge_idx)
+            targets = np.take(heads, np.compress(success, edge_idx))
+            new = np.compress(np.take(marks, targets) != stamp, targets)
             if new.size == 0:
                 break
-            frontier = np.unique(new)
-            self._visit_stamp[frontier] = stamp
+            frontier = sorted_distinct(new)
+            marks[frontier] = stamp
             collected.append(frontier)
         rr = np.concatenate(collected)
         rr.sort()
@@ -152,6 +156,34 @@ class RRSampler:
         return [self.sample() for _ in range(count)]
 
 
+def _inverted_set_ids(flat: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """Set ids of the memberships ``flat`` in vertex-major, set-minor order.
+
+    Equal to ``set_ids[np.argsort(flat, kind="stable")]`` with ``set_ids``
+    the owning set of each entry of ``flat`` (the concatenated sets, in set
+    order): a stable sort by vertex keeps each vertex's sets ascending.
+    Packing each membership into one key ``vertex << b | set`` gives that
+    order as the plain ascending order of the keys, and equal keys are equal
+    values, so numpy's fastest unstable sort can do it and the set ids are
+    read back from the low ``b`` bits.  Raises :class:`AlgorithmError` if a
+    key could overflow ``int64`` (more than ``2**62`` vertex-set pairs,
+    far beyond any index that fits in memory).
+    """
+    shift = max(sizes.size - 1, 0).bit_length()
+    if n > 1 << (62 - shift):
+        raise AlgorithmError(
+            f"coverage index over {n} vertices and {sizes.size} sets "
+            "overflows its int64 keys"
+        )
+    set_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    keys = np.left_shift(flat, shift, dtype=np.int64)
+    keys |= set_ids
+    del set_ids
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys
+
+
 class CoverageInstance:
     """Maximum coverage over a collection of RR sets.
 
@@ -164,27 +196,24 @@ class CoverageInstance:
     def __init__(self, rr_sets: list[np.ndarray], n: int) -> None:
         self.n = n
         self.n_sets = len(rr_sets)
+        sizes = np.fromiter((s.size for s in rr_sets), dtype=np.int64,
+                            count=self.n_sets)
+        # Set membership in CSR layout over sets (for decrements).
+        self._set_indptr = np.zeros(self.n_sets + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self._set_indptr[1:])
         if self.n_sets:
             self._flat = np.concatenate(rr_sets)
-            self._set_ids = np.repeat(
-                np.arange(self.n_sets, dtype=np.int64),
-                [s.size for s in rr_sets],
-            )
         else:
             self._flat = np.empty(0, dtype=np.int64)
-            self._set_ids = np.empty(0, dtype=np.int64)
         # Inverted index in CSR layout over vertices.
-        order = np.argsort(self._flat, kind="stable")
-        self._inv_sets = self._set_ids[order]
+        self._inv_sets = _inverted_set_ids(self._flat, sizes, n)
         self._inv_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self._inv_indptr, self._flat + 1, 1)
-        np.cumsum(self._inv_indptr, out=self._inv_indptr)
-        # Set membership in CSR layout over sets (for decrements).
-        self._sets = rr_sets
+        np.cumsum(np.bincount(self._flat, minlength=n),
+                  out=self._inv_indptr[1:])
 
     def degree(self) -> np.ndarray:
         """Initial coverage gain of each vertex (number of sets containing it)."""
-        return np.bincount(self._flat, minlength=self.n).astype(np.int64)
+        return np.diff(self._inv_indptr)
 
     def sets_containing(self, v: int) -> np.ndarray:
         """Ids of RR sets containing vertex ``v``."""
@@ -219,7 +248,7 @@ class CoverageInstance:
         """
         if k <= 0:
             raise AlgorithmError("k must be positive")
-        gains = self.degree().copy()
+        gains = self.degree()
         covered = np.zeros(self.n_sets, dtype=bool)
         seeds = np.empty(min(k, self.n), dtype=np.int64)
         total_covered = 0
@@ -230,7 +259,9 @@ class CoverageInstance:
             newly = newly[~covered[newly]]
             covered[newly] = True
             total_covered += newly.size
-            for s in newly:
-                gains[self._sets[s]] -= 1
+            indptr = self._set_indptr
+            for a, b in zip(indptr[newly].tolist(),
+                            indptr[newly + 1].tolist()):
+                gains[self._flat[a:b]] -= 1
             gains[v] = -1  # never pick twice
         return seeds, total_covered

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
 from ..rng import RngLike, ensure_rng
-from .reachability import gather_ranges
+from .reachability import gather_ranges, sorted_distinct
 
 __all__ = ["simulate_ic_once", "simulate_ic", "estimate_influence", "SimulationStats"]
 
@@ -54,7 +54,7 @@ def simulate_ic_once(
         raise AlgorithmError("seed vertex out of range")
     rng = ensure_rng(rng)
     active = np.zeros(graph.n, dtype=bool)
-    frontier = np.unique(seeds)
+    frontier = sorted_distinct(seeds.flatten())
     active[frontier] = True
     examined = 0
     while frontier.size:
@@ -67,7 +67,7 @@ def simulate_ic_once(
         new = targets[~active[targets]]
         if new.size == 0:
             break
-        frontier = np.unique(new)
+        frontier = sorted_distinct(new)
         active[frontier] = True
     if stats is not None:
         stats.simulations += 1

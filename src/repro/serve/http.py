@@ -31,7 +31,8 @@ Error mapping: admission-control overflow
 ``seed_sets``, ``k``, ``n_samples``, ``u``, ``v``) must be JSON integers:
 ``2.5``, ``true`` or ``"3"`` is a ``400``, never coerced; an edge
 probability ``p`` must be a finite JSON number (``true``, ``"0.5"`` and
-``NaN`` are ``400``s).  Degraded queries
+``NaN`` are ``400``s).  ``n_samples`` above
+:data:`~.service.MAX_N_SAMPLES` is a ``400`` naming the limit.  Degraded queries
 still return ``200`` with ``"degraded": true`` and the achieved-accuracy
 report inline.
 

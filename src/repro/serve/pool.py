@@ -144,10 +144,27 @@ class SamplePool:
     def coverage(self) -> CoverageInstance:
         """A coverage index over the current pool (rebuilt only on growth)."""
         with self._lock:
-            if self._coverage is None or self._coverage_size != len(self._rr_sets):
-                self._coverage = CoverageInstance(self._rr_sets, self.graph.n)
-                self._coverage_size = len(self._rr_sets)
-            return self._coverage
+            return self._current_coverage()
+
+    def _current_coverage(self) -> CoverageInstance:
+        """:meth:`coverage` with ``_lock`` already held."""
+        if self._coverage is None or self._coverage_size != len(self._rr_sets):
+            self._coverage = CoverageInstance(self._rr_sets, self.graph.n)
+            self._coverage_size = len(self._rr_sets)
+        return self._coverage
+
+    def prefix_coverage(self, n_samples: int) -> CoverageInstance:
+        """A coverage index over exactly the first ``n_samples`` sets.
+
+        When the pool holds exactly ``n_samples`` sets this is the pool's
+        own index (:meth:`coverage`), shared with the estimators; otherwise
+        a fresh index over the prefix, built outside the lock.
+        """
+        with self._lock:
+            if len(self._rr_sets) == n_samples:
+                return self._current_coverage()
+            prefix = self._rr_sets[:n_samples]
+        return CoverageInstance(prefix, self.graph.n)
 
     def estimator(self, n_samples: int) -> RISEstimator:
         """A protocol-conforming estimator over the first ``n_samples`` sets.
@@ -196,11 +213,9 @@ class PoolMaximizer:
                 f"pool holds {available} sets < requested {self.n_samples}"
             )
         with span("serve.pool.maximize", k=k, n_samples=self.n_samples):
-            # Greedy needs exact decremental gains over its own prefix, so
-            # it builds a prefix coverage rather than slicing the shared one.
-            coverage = CoverageInstance(
-                self._pool._rr_sets[: self.n_samples], graph.n
-            )
+            # Greedy needs exact decremental gains over exactly its prefix:
+            # the pool's own index when the pool is that size, else its own.
+            coverage = self._pool.prefix_coverage(self.n_samples)
             seeds, covered = coverage.greedy(k)
         estimate = self._pool.total_weight * covered / self.n_samples
         return MaximizationResult(

@@ -65,7 +65,14 @@ from .cache import ModelCache, ModelKey
 from .pool import DEFAULT_CHUNK_SETS, SamplePool
 from .shard import ShardError, ShardPool, ShardRuntime
 
-__all__ = ["ServiceConfig", "QueryResult", "InfluenceService"]
+__all__ = ["ServiceConfig", "QueryResult", "InfluenceService",
+           "MAX_N_SAMPLES"]
+
+#: Largest RR-set count a query (or ``ServiceConfig.n_samples``) may ask
+#: for: 50 times IMM's default sample cap.  A larger request would tie up
+#: a worker growing a pool that could never fit in memory, so it is a
+#: typed error (an HTTP 400) instead.
+MAX_N_SAMPLES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,8 @@ class ServiceConfig:
             raise ValueError("r must be positive")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
+        if self.n_samples > MAX_N_SAMPLES:
+            raise ValueError(f"n_samples must be at most {MAX_N_SAMPLES}")
         if not 0 < self.min_samples <= self.n_samples:
             raise ValueError("min_samples must lie in [1, n_samples]")
         if self.max_workers <= 0:
@@ -580,6 +589,20 @@ class InfluenceService:
     # Queries
     # ------------------------------------------------------------------
 
+    def _requested_samples(self, n_samples: "int | None") -> int:
+        """The query's RR-set count: ``n_samples`` or the configured one.
+
+        Raises :class:`AlgorithmError` (an HTTP 400) outside
+        ``[1, MAX_N_SAMPLES]``.
+        """
+        requested = self.config.n_samples if n_samples is None else n_samples
+        if requested <= 0:
+            raise AlgorithmError("n_samples must be positive")
+        if requested > MAX_N_SAMPLES:
+            raise AlgorithmError(
+                f"n_samples must be at most {MAX_N_SAMPLES}, got {requested}")
+        return requested
+
     def estimate(self, graph: InfluenceGraph, seeds: Sequence[int],
                  n_samples: "int | None" = None) -> QueryResult:
         """Estimate ``Inf_G(seeds)`` (Algorithm 3 over the cached model)."""
@@ -601,9 +624,7 @@ class InfluenceService:
         """
         if not seed_sets:
             return []
-        requested = self.config.n_samples if n_samples is None else n_samples
-        if requested <= 0:
-            raise AlgorithmError("n_samples must be positive")
+        requested = self._requested_samples(n_samples)
         # Resolve the model — and the family's read state — once, outside
         # the per-query slots.
         model = self.model_for(graph)
@@ -777,7 +798,7 @@ class InfluenceService:
         process boundary.  The in-process pool draws the same indexed
         streams the fleet does, so the sketch is the same either way.
         """
-        requested = self.config.n_samples if n_samples is None else n_samples
+        requested = self._requested_samples(n_samples)
         model = self.model_for(graph)
         pool = self._pool_for(self.key_for(graph), model)
         self._admit()

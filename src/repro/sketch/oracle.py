@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..diffusion.reachability import gather_ranges
+from ..diffusion.reachability import gather_ranges, sorted_distinct
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, span
@@ -222,9 +222,7 @@ def _pruned_insertions(rev_indptr: np.ndarray, rev_heads: np.ndarray,
             stats.pruned += int(live.size - np.count_nonzero(live))
             keys = (targets[live] << shift) | np.repeat(frontier & low,
                                                        hi - lo)[live]
-            keys.sort()
-            if keys.size > 1:
-                keys = keys[np.append(True, keys[1:] != keys[:-1])]
+            keys = sorted_distinct(keys)
             seen = np.searchsorted(visited, keys)
             np.minimum(seen, visited.size - 1, out=seen)
             frontier = keys[visited[seen] != keys]

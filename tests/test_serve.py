@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.core import coarsen_influence_graph
-from repro.errors import AlgorithmError, BudgetExceededError
+from repro.errors import AlgorithmError, BudgetExceededError, ReproError
 from repro.serve import (
     InfluenceService,
     ModelCache,
@@ -26,6 +26,7 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.serve.cache import result_nbytes
+from repro.serve.service import MAX_N_SAMPLES
 from repro.serve.http import make_server
 
 from .conftest import build_graph, random_graph
@@ -303,6 +304,24 @@ class TestInfluenceService:
         assert len(set(a.seeds.tolist())) == 3
         assert all(0 <= s < graph.n for s in a.seeds)
 
+    @pytest.mark.parametrize("n_samples", [MAX_N_SAMPLES + 1, 10**30])
+    def test_oversized_n_samples_is_a_typed_error(self, graph, n_samples):
+        # Well above IMM's 2,000,000-set default, yet a cap: an unbounded
+        # request would tie up a worker growing a pool forever.
+        assert MAX_N_SAMPLES >= 10 * 2_000_000
+        with InfluenceService(ServiceConfig(r=4, n_samples=500,
+                                            min_samples=64)) as svc:
+            for call in (lambda: svc.estimate(graph, [0], n_samples),
+                         lambda: svc.estimate_many(graph, [[0], [1]],
+                                                   n_samples),
+                         lambda: svc.maximize(graph, 2, n_samples)):
+                with pytest.raises(ReproError, match=str(MAX_N_SAMPLES)):
+                    call()
+            assert svc.stats()["pools"] == {}  # nothing was drawn
+            assert svc.estimate(graph, [0]).n_samples == 500
+        with pytest.raises(ValueError, match=str(MAX_N_SAMPLES)):
+            ServiceConfig(n_samples=MAX_N_SAMPLES + 1)
+
     def test_warm_dir_round_trip(self, tmp_path, graph):
         config = ServiceConfig(r=4, n_samples=500, min_samples=64,
                                warm_dir=str(tmp_path / "warm"))
@@ -563,6 +582,21 @@ class TestKeepAlive:
         assert "not supported" not in reply["error"]
         assert dynamic.epoch == 0  # no mutation slipped through
         # The connection stays usable after the typed 400.
+        assert self._call(conn, "GET", "/healthz") == (200, {"status": "ok"})
+        assert len(accepted) == 1
+
+    @pytest.mark.parametrize("path, body", [
+        (path, dict(body, n_samples=n_samples))
+        for path, body in (("/estimate", {"seeds": [0]}),
+                           ("/estimate_many", {"seed_sets": [[0], [1]]}),
+                           ("/maximize", {"k": 2}))
+        for n_samples in (MAX_N_SAMPLES + 1, 10**30)
+    ])
+    def test_oversized_n_samples_is_bad_request(self, served, path, body):
+        conn, accepted, dynamic = served
+        status, reply = self._call(conn, "POST", path, body)
+        assert status == 400
+        assert str(MAX_N_SAMPLES) in reply["error"]
         assert self._call(conn, "GET", "/healthz") == (200, {"status": "ok"})
         assert len(accepted) == 1
 
