@@ -1,35 +1,31 @@
-"""Ablation — SCC backend comparison (fwbw vs Tarjan vs Kosaraju vs scipy
-vs semi-external FB) and the refinement-aware r-robust fold.
+"""Ablation — the SCC kernel (vectorised fwbw) against the Tarjan and
+Kosaraju references, and against the semi-external streaming algorithm.
 
-The r-robust SCC stage runs one SCC computation per sample, so the backend
+The r-robust SCC stage runs one SCC computation per sample, so the kernel
 constant dominates Algorithm 1's run time.  This bench quantifies:
 
-* raw kernel throughput per backend on generated graphs of increasing size
-  (the vectorised ``fwbw`` backend is the headline — its lead grows with
-  the graph because the pure-Python loops pay per edge while numpy pays per
+* raw kernel throughput — fwbw vs the two reference implementations — on
+  generated graphs of increasing size (fwbw's lead grows with the graph
+  because the pure-Python loops pay per edge while numpy pays per
   frontier);
-* the refinement-aware fold (``refine=True``) versus full per-sample
-  recomputation at several ``r`` — block-restricted retirement shrinks the
-  per-round processed-edge counts as the running meet accumulates
-  singletons;
-* the batched multi-sample kernel versus the per-sample fold, including a
-  deep amortisation tier (``gen-1k-deep``: long trim-wave chains, tiny
-  frontiers) where per-call fixed costs dominate and batching must at
-  least double aggregate fold throughput;
-* the historical dataset table (live-edge samples of a real-workload
-  analogue), plus the streaming semi-external algorithm's overhead (its
-  value is the O(V) memory contract, not speed).
+* the r-robust fold — ``robust_scc_partition`` (fwbw per sample) against
+  the same fold over the same samples with Tarjan per sample;
+* live-edge samples of a real-workload analogue: fwbw, the references,
+  and the streaming semi-external algorithm (whose value is the O(V)
+  memory contract of Algorithm 2, not speed).
 
-Raw numbers go to two places: the per-bench archive under
-``benchmarks/results/`` and the machine-readable perf trajectory at the
-repo root, ``BENCH_scc.json`` (schema documented in
-``docs/performance.md``) — regenerate the latter with::
+Every comparison first checks the partitions are identical.  Raw numbers go
+to two places: the per-bench archive under ``benchmarks/results/`` and the
+machine-readable perf trajectory at the repo root, ``BENCH_scc.json``
+(schema documented in ``docs/performance.md``) — regenerate the latter
+with::
 
     python benchmarks/bench_ablation_scc.py
 
 CI runs ``python benchmarks/bench_ablation_scc.py --quick`` as a
-correctness canary: small graphs, fwbw-vs-tarjan partition equality, no
-timing assertions and no files written.
+correctness canary: small graphs, fwbw == tarjan == semi-external on
+live-edge samples, and the fwbw fold equal to a Tarjan-reference fold bit
+for bit.  No timing assertions and no files written.
 """
 
 from __future__ import annotations
@@ -45,31 +41,35 @@ from repro.bench import render_table, save_json
 from repro.core import robust_scc_partition
 from repro.datasets import load_dataset
 from repro.diffusion import sample_live_edge_csr
-from repro.diffusion.live_edge import sample_live_edge_mask
 from repro.graph import InfluenceGraph
 from repro.partition import Partition
 from repro.rng import ensure_rng
-from repro.scc import multi_scc_labels, scc_labels, semi_external_scc_labels
-from repro.scc.fwbw import fwbw_scc_labels
+from repro.scc import (
+    kosaraju_scc_labels,
+    scc_labels,
+    semi_external_scc_labels,
+    tarjan_scc_labels,
+)
 from repro.storage import PairStore
 
 from conftest import results_path, run_once
 
 DATASET = "twitter-2010"
 SAMPLES = 4
-KERNEL_BACKENDS = ("fwbw", "tarjan", "kosaraju", "scipy")
+#: The library kernel first, then the references it is checked against.
+KERNELS = {
+    "fwbw": scc_labels,
+    "tarjan": tarjan_scc_labels,
+    "kosaraju": kosaraju_scc_labels,
+}
 
 #: (name, n, m) for the generated size sweep; the largest is the graph the
-#: kernel/refinement acceptance gates read (``generated[-1]`` in
-#: ``BENCH_scc.json``).
+#: kernel acceptance gate reads (``generated[-1]`` in ``BENCH_scc.json``).
 GENERATED_SIZES = (
     ("gen-20k-100k", 20_000, 100_000),
     ("gen-60k-300k", 60_000, 300_000),
     ("gen-120k-600k", 120_000, 600_000),
 )
-#: (name, n) for the deep amortisation tier — always ``generated[0]``,
-#: the entry the batched kernel's >= 2x gate reads.
-DEEP_TIER = ("gen-1k-deep", 1_000)
 R_VALUES = (4, 16)
 ROOT_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_scc.json")
 
@@ -81,9 +81,8 @@ def generated_graph(n: int, m: int, seed: int = 0) -> InfluenceGraph:
 
     Probabilities sit in the realistic IC range [0.05, 0.35], where the
     r-robust meet fragments towards singletons as ``r`` grows — the regime
-    the paper reports for real networks (99.9% singleton r-robust SCCs) and
-    the one where block-restricted retirement has work to mask.  The kernel
-    throughput rows are unaffected (they run on the full topology).
+    the paper reports for real networks (99.9% singleton r-robust SCCs).
+    The kernel throughput rows run on the full topology.
     """
     rng = ensure_rng(seed)
     tails = (n * rng.random(m) ** 2).astype(np.int64)
@@ -99,47 +98,15 @@ def generated_graph(n: int, m: int, seed: int = 0) -> InfluenceGraph:
     return InfluenceGraph.from_edges(n, tails, heads, probs)
 
 
-def deep_generated_graph(n: int, seed: int = 0) -> InfluenceGraph:
-    """The amortisation workload: long dependency chains, tiny frontiers.
-
-    Three ingredients:
-
-    * a probabilistic ring over most vertices (p = 0.9) — live-edge
-      samples break it into long path fragments whose trim peel advances
-      one vertex per wave, so each sample costs *hundreds of sequential
-      frontier waves over tiny arrays*;
-    * a slab of always-live 4-cycles (p = 1.0) — robust blocks that
-      survive every sample, so neither fold path can take the
-      finest-partition early exit and both pay all ``r`` rounds;
-    * sparse forward chords (p = 0.25) for mild branching.
-
-    In this regime per-wave numpy dispatch dominates the fold — exactly
-    the fixed cost the batched kernel amortises: one union wave serves
-    every live round at once, where the per-sample fold re-pays it ``r``
-    times.  This is the tier the batched kernel's acceptance gate reads;
-    the shallow tiers above are cache-bound and batching is ~par there.
-    """
-    rng = ensure_rng(seed)
-    c = max(8, n // 20) & ~3  # vertices living in always-live 4-cycles
-    cyc = np.arange(c, dtype=np.int64)
-    ring = np.arange(c, n, dtype=np.int64)
-    ring_next = np.where(ring + 1 < n, ring + 1, c)
-    # Chord offsets in [2, 50) can never collide with a ring edge or form
-    # a self-loop (the ring segment is far longer than 50); only
-    # chord-chord duplicates need dropping.
-    k = n // 4
-    chord_t = rng.integers(c, n, k)
-    chord_h = c + (chord_t - c + rng.integers(2, 50, k)) % (n - c)
-    pair = np.unique(chord_t * np.int64(n) + chord_h)
-    chord_t, chord_h = pair // n, pair % n
-    tails = np.concatenate([cyc, ring, chord_t])
-    heads = np.concatenate([(cyc // 4) * 4 + (cyc + 1) % 4, ring_next,
-                            chord_h])
-    probs = np.concatenate([np.full(c, 1.0), np.full(ring.size, 0.9),
-                            np.full(chord_t.size, 0.25)])
-    order = np.lexsort((heads, tails))
-    return InfluenceGraph.from_edges(n, tails[order], heads[order],
-                                     probs[order])
+def tarjan_fold(graph: InfluenceGraph, r: int, rng=None) -> Partition:
+    """The r-robust fold with Tarjan per sample, over the samples
+    ``robust_scc_partition(graph, r, rng=rng)`` draws."""
+    rng = ensure_rng(rng)
+    partition = Partition.trivial(graph.n)
+    for _ in range(r):
+        indptr, heads = sample_live_edge_csr(graph, rng)
+        partition = partition.meet(Partition(tarjan_scc_labels(indptr, heads)))
+    return partition
 
 
 def _time_best(fn, reps: int = 3) -> float:
@@ -151,200 +118,107 @@ def _time_best(fn, reps: int = 3) -> float:
     return best
 
 
-def _kernel_sweep(graph: InfluenceGraph, reference_check: bool = True) -> dict:
-    """Per-backend throughput on the graph's own CSR (pure SCC, no fold)."""
+def _rate(edges: int, seconds: float) -> float:
+    return edges / seconds if seconds else float("inf")
+
+
+def _kernel_sweep(graph: InfluenceGraph) -> dict:
+    """Per-kernel throughput on the graph's own CSR (pure SCC, no fold)."""
     indptr, heads = graph.indptr, graph.heads
+    reference = Partition(tarjan_scc_labels(indptr, heads))
     out: dict = {}
-    reference: "Partition | None" = None
-    for backend in KERNEL_BACKENDS:
-        labels = scc_labels(indptr, heads, backend=backend)
-        if reference_check:
-            partition = Partition(labels)
-            if reference is None:
-                reference = partition
-            else:
-                assert partition == reference, backend
-        seconds = _time_best(lambda b=backend: scc_labels(indptr, heads,
-                                                          backend=b))
-        out[backend] = {
-            "wall_seconds": seconds,
-            "edges_per_sec": graph.m / seconds if seconds else float("inf"),
-        }
+    for name, kernel in KERNELS.items():
+        assert Partition(kernel(indptr, heads)) == reference, name
+        seconds = _time_best(lambda k=kernel: k(indptr, heads))
+        out[name] = {"wall_seconds": seconds,
+                     "edges_per_sec": _rate(graph.m, seconds)}
     return out
 
 
-def _robust_modes(graph: InfluenceGraph, r: int) -> dict:
-    """The r-robust fold: batched multi vs refinement-aware fwbw vs full
-    per-sample recomputation.
+def _folds(graph: InfluenceGraph, r: int) -> dict:
+    """The r-robust fold: fwbw per sample vs Tarjan per sample.
 
-    Identical partitions are asserted (the restriction is exact and the
-    batched kernel is bit-for-bit the per-sample fold); the per-round
-    processed/masked edge counts come from a manual fold so the reduction
-    is visible round by round, not just in aggregate.  ``edges_per_sec``
-    is the *aggregate* robust-partition throughput — ``r * m`` edge-rounds
-    over the whole fold — the number the batched kernel's acceptance gate
-    reads.
+    ``edges_per_sec`` is the aggregate fold throughput, ``r * m``
+    edge-rounds over the whole fold.
     """
     out: dict = {}
-    for mode, backend, refine in (
-        ("multi-full", "multi", False),
-        ("multi-refine", "multi", True),
-        ("fwbw-refine", "fwbw", True),
-        ("fwbw-full", "fwbw", False),
-        ("tarjan-full", "tarjan", False),
-    ):
+    for mode, fold in (("fwbw", robust_scc_partition), ("tarjan", tarjan_fold)):
         t0 = time.perf_counter()
-        partition = robust_scc_partition(graph, r, rng=0,
-                                         scc_backend=backend, refine=refine)
+        partition = fold(graph, r, rng=0)
         seconds = time.perf_counter() - t0
-        out[mode] = {
-            "wall_seconds": seconds,
-            "edges_per_sec": r * graph.m / seconds if seconds else float("inf"),
-            "blocks": partition.n_blocks,
-        }
-    assert (out["multi-full"]["blocks"] == out["multi-refine"]["blocks"]
-            == out["fwbw-refine"]["blocks"] == out["fwbw-full"]["blocks"]
-            == out["tarjan-full"]["blocks"])
-
-    # Batch-occupancy accounting for the amortisation claim: one batched
-    # run over the same masks the per-sample fold would draw.
-    rng = ensure_rng(0)
-    masks = np.stack([sample_live_edge_mask(graph, rng) for _ in range(r)])
-    _, mstats = multi_scc_labels(graph.indptr, graph.heads, masks,
-                                 return_stats=True)
-    out["multi-full"]["kernel_rounds"] = mstats.rounds
-    out["multi-full"]["mean_occupancy"] = (
-        mstats.occupancy / mstats.rounds if mstats.rounds else 0.0
-    )
-    out["multi-full"]["retired_rounds"] = mstats.retired_rounds
-
-    # Round-by-round work accounting for the refinement claim: fold the
-    # SAME samples with and without block restriction, so the per-round
-    # processed-edge reduction is an apples-to-apples measurement.
-    rng = ensure_rng(0)
-    samples = [sample_live_edge_csr(graph, rng) for _ in range(r)]
-    for mode, use_blocks in (("fwbw-refine", True), ("fwbw-full", False)):
-        partition = Partition.trivial(graph.n)
-        processed, masked = [], []
-        for i, (indptr, heads) in enumerate(samples):
-            blocks = partition.labels if use_blocks and i else None
-            labels, stats = fwbw_scc_labels(indptr, heads,
-                                            block_labels=blocks,
-                                            return_stats=True)
-            processed.append(stats.processed_edges)
-            masked.append(stats.masked_edges)
-            partition = partition.meet(Partition(labels, canonical=False))
-        out[mode]["processed_edges_per_round"] = processed
-        out[mode]["masked_edges_per_round"] = masked
+        out[mode] = {"wall_seconds": seconds,
+                     "edges_per_sec": _rate(r * graph.m, seconds),
+                     "blocks": partition.n_blocks}
+    assert out["fwbw"]["blocks"] == out["tarjan"]["blocks"]
     return out
 
 
 def generate() -> dict:
     raw: dict = {
-        "schema": "bench_scc/v2",
+        "schema": "bench_scc/v3",
         "generated": [],
         "dataset": {"name": DATASET, "samples": SAMPLES, "backends": {}},
     }
 
-    # ---- generated size sweep: kernel throughput + robust fold ----------
-    # The deep amortisation tier leads (generated[0], the batched
-    # kernel's gate entry), then the shallow size sweep (generated[-1]
-    # stays the largest shallow graph, which the kernel gates read).
-    graphs = [(DEEP_TIER[0], deep_generated_graph(DEEP_TIER[1]))]
-    graphs += [(name, generated_graph(n, m)) for name, n, m in GENERATED_SIZES]
-    kernel_rows = []
-    for name, graph in graphs:
+    # ---- generated size sweep: kernel throughput + r-robust fold --------
+    kernel_rows, fold_rows = [], []
+    for name, n, m in GENERATED_SIZES:
+        graph = generated_graph(n, m)
         entry = {
             "name": name,
             "n": graph.n,
             "m": graph.m,
             "kernel": _kernel_sweep(graph),
-            "robust": {str(r): _robust_modes(graph, r) for r in R_VALUES},
+            "fold": {str(r): _folds(graph, r) for r in R_VALUES},
         }
         raw["generated"].append(entry)
         base = entry["kernel"]["tarjan"]["edges_per_sec"]
-        for backend in KERNEL_BACKENDS:
-            stats = entry["kernel"][backend]
+        for kernel, stats in entry["kernel"].items():
             kernel_rows.append([
-                name, backend, f"{stats['wall_seconds'] * 1e3:.1f} ms",
+                name, kernel, f"{stats['wall_seconds'] * 1e3:.1f} ms",
                 f"{stats['edges_per_sec'] / 1e6:.2f} Me/s",
                 f"{stats['edges_per_sec'] / base:.2f}x",
+            ])
+        for r in R_VALUES:
+            folds = entry["fold"][str(r)]
+            fold_rows.append([
+                name, str(r),
+                f"{folds['fwbw']['wall_seconds']:.3f} s",
+                f"{folds['tarjan']['wall_seconds']:.3f} s",
+                f"{folds['tarjan']['wall_seconds'] / folds['fwbw']['wall_seconds']:.2f}x",
+                str(folds["fwbw"]["blocks"]),
             ])
     print(render_table(
         "Ablation: SCC kernel throughput on generated graphs "
         "(identical partitions verified; speedup vs tarjan)",
-        ["graph", "backend", "wall", "throughput", "speedup"],
+        ["graph", "kernel", "wall", "throughput", "speedup"],
         kernel_rows,
     ))
-
-    refine_rows = []
-    for entry in raw["generated"]:
-        for r in R_VALUES:
-            modes = entry["robust"][str(r)]
-            proc_refine = sum(modes["fwbw-refine"]["processed_edges_per_round"])
-            proc_full = sum(modes["fwbw-full"]["processed_edges_per_round"])
-            refine_rows.append([
-                entry["name"], str(r),
-                f"{modes['fwbw-refine']['wall_seconds']:.3f} s",
-                f"{modes['fwbw-full']['wall_seconds']:.3f} s",
-                f"{modes['tarjan-full']['wall_seconds']:.3f} s",
-                str(sum(modes['fwbw-refine']['masked_edges_per_round'])),
-                f"{1 - proc_refine / proc_full:.1%}",
-            ])
     print(render_table(
-        "Ablation: r-robust fold — refinement-aware fwbw vs full "
-        "recomputation (identical partitions verified)",
-        ["graph", "r", "fwbw refine", "fwbw full", "tarjan full",
-         "masked edges", "edges saved"],
-        refine_rows,
+        "Ablation: r-robust fold — fwbw vs tarjan per sample, same samples "
+        "(identical partitions verified)",
+        ["graph", "r", "fwbw fold", "tarjan fold", "speedup", "blocks"],
+        fold_rows,
     ))
 
-    batched_rows = []
-    for entry in raw["generated"]:
-        for r in R_VALUES:
-            modes = entry["robust"][str(r)]
-            multi = modes["multi-full"]
-            base = modes["fwbw-full"]
-            batched_rows.append([
-                entry["name"], str(r),
-                f"{multi['wall_seconds']:.3f} s",
-                f"{modes['multi-refine']['wall_seconds']:.3f} s",
-                f"{base['wall_seconds']:.3f} s",
-                f"{multi['edges_per_sec'] / base['edges_per_sec']:.2f}x",
-                str(multi["kernel_rounds"]),
-                f"{multi['mean_occupancy']:.1f}/{r}",
-            ])
-    print(render_table(
-        "Ablation: batched multi-sample kernel — one union decomposition "
-        "vs r per-sample runs (identical partitions verified; speedup on "
-        "aggregate edge-rounds/sec)",
-        ["graph", "r", "multi full", "multi refine", "fwbw full",
-         "speedup", "kernel rounds", "mean occupancy"],
-        batched_rows,
-    ))
-
-    # ---- historical dataset table (live-edge samples of an analogue) ----
+    # ---- live-edge samples of a real-workload analogue ------------------
     graph = load_dataset(DATASET, "exp", seed=0)
     samples = [sample_live_edge_csr(graph, rng=i) for i in range(SAMPLES)]
     sampled_edges = sum(int(h.size) for _, h in samples)
+    reference = [Partition(tarjan_scc_labels(indptr, heads))
+                 for indptr, heads in samples]
     rows = []
-    reference: list[Partition] = []
-    for backend in KERNEL_BACKENDS:
+    for name, kernel in KERNELS.items():
         t0 = time.perf_counter()
-        partitions = [
-            Partition(scc_labels(indptr, heads, backend=backend))
-            for indptr, heads in samples
-        ]
+        partitions = [Partition(kernel(indptr, heads))
+                      for indptr, heads in samples]
         seconds = time.perf_counter() - t0
-        if reference:
-            assert partitions == reference, backend
-        else:
-            reference = partitions
-        raw["dataset"]["backends"][backend] = {
+        assert partitions == reference, name
+        raw["dataset"]["backends"][name] = {
             "wall_seconds": seconds,
             "edges_per_sec": sampled_edges / seconds,
         }
-        rows.append([backend, f"{seconds:.3f} s"])
+        rows.append([name, f"{seconds:.3f} s"])
 
     with tempfile.TemporaryDirectory() as workdir:
         t0 = time.perf_counter()
@@ -363,9 +237,9 @@ def generate() -> dict:
     rows.append(["semi-external FB", f"{seconds:.3f} s"])
 
     print(render_table(
-        f"Ablation: SCC backends on {SAMPLES} live-edge samples of {DATASET} "
+        f"Ablation: SCC routines on {SAMPLES} live-edge samples of {DATASET} "
         f"(n={graph.n:,}, m={graph.m:,}); identical partitions verified",
-        ["backend", "total time"],
+        ["routine", "total time"],
         rows,
     ))
     save_json(raw, results_path("ablation_scc.json"))
@@ -374,91 +248,44 @@ def generate() -> dict:
 
 
 def quick_canary() -> None:
-    """CI correctness canary: fwbw and the batched multi kernel must
-    produce the same canonical partitions as tarjan — on a small generated
-    graph's live-edge samples, per batched row, and through the
-    refinement-aware folds.  No timing, no files."""
+    """CI correctness canary: fwbw must produce the same canonical
+    partitions as tarjan and the semi-external algorithm on a small
+    generated graph's live-edge samples, and its r-robust fold must equal
+    the Tarjan-reference fold bit for bit.  No timing, no files."""
     graph = generated_graph(2_000, 10_000, seed=1)
     rng = ensure_rng(0)
-    for _ in range(6):
-        indptr, heads = sample_live_edge_csr(graph, rng)
-        a = Partition(scc_labels(indptr, heads, backend="fwbw"))
-        b = Partition(scc_labels(indptr, heads, backend="tarjan"))
-        assert a == b, "fwbw/tarjan partition mismatch"
-    refined = robust_scc_partition(graph, 8, rng=0, scc_backend="fwbw",
-                                   refine=True)
-    full = robust_scc_partition(graph, 8, rng=0, scc_backend="tarjan")
-    assert refined == full, "refinement-aware fold diverged"
-    # Batched kernel: per-row label equality against per-sample fwbw on
-    # the same masks, and bit-for-bit fold equality across refine modes.
-    masks = np.stack([sample_live_edge_mask(graph, rng) for _ in range(6)])
-    rows = multi_scc_labels(graph.indptr, graph.heads, masks)
-    tails = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    for i in range(masks.shape[0]):
-        t, h = tails[masks[i]], graph.heads[masks[i]]
-        sub = np.zeros(graph.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(t, minlength=graph.n), out=sub[1:])
-        ref = Partition(scc_labels(sub, np.ascontiguousarray(h),
-                                   backend="fwbw"))
-        assert Partition(rows[i]) == ref, f"multi row {i} diverged"
-    for refine in (False, True):
-        a = robust_scc_partition(graph, 8, rng=0, scc_backend="multi",
-                                 refine=refine)
-        b = robust_scc_partition(graph, 8, rng=0, scc_backend="fwbw",
-                                 refine=refine)
-        assert np.array_equal(a.labels, b.labels), "multi fold not bitwise"
-    # The deep amortisation workload takes wide fold chunks (small m →
-    # large multi_chunk_cap) and long trim-wave chains — cover that shape
-    # in the equivalence canary too.
-    deep = deep_generated_graph(500)
-    a = robust_scc_partition(deep, 8, rng=0, scc_backend="multi")
-    b = robust_scc_partition(deep, 8, rng=0, scc_backend="fwbw")
-    assert np.array_equal(a.labels, b.labels), "multi fold not bitwise (deep)"
-    print("quick canary ok: fwbw == tarjan == multi on samples and the "
-          "r-robust folds (shallow and deep workloads)")
+    with tempfile.TemporaryDirectory() as workdir:
+        for i in range(6):
+            indptr, heads = sample_live_edge_csr(graph, rng)
+            a = Partition(scc_labels(indptr, heads))
+            assert a == Partition(tarjan_scc_labels(indptr, heads)), (
+                "fwbw/tarjan partition mismatch")
+            store = PairStore.create(os.path.join(workdir, f"{i}.pairs"),
+                                     graph.n)
+            store.append(np.repeat(np.arange(graph.n), np.diff(indptr)), heads)
+            assert a == Partition(semi_external_scc_labels(store)), (
+                "fwbw/semi-external partition mismatch")
+    for r in (1, 8, 16):
+        fold = robust_scc_partition(graph, r, rng=0)
+        reference = tarjan_fold(graph, r, rng=0)
+        assert np.array_equal(fold.labels, reference.labels), (
+            f"fwbw fold != tarjan-reference fold at r={r}")
+    print("quick canary ok: fwbw == tarjan == semi-external on samples, and "
+          "the fwbw fold == the tarjan-reference fold bit for bit")
 
 
 def bench_ablation_scc(benchmark):
     raw = run_once(benchmark, generate)
     backends = raw["dataset"]["backends"]
     # The streaming algorithm trades time for O(V) memory; it must still
-    # land within a sane constant of the in-memory backends.
+    # land within a sane constant of the in-memory kernel.
     assert (backends["semi-external"]["wall_seconds"]
-            < 300 * backends["scipy"]["wall_seconds"])
+            < 60 * backends["fwbw"]["wall_seconds"])
     # The vectorised kernel must beat the interpreter loop decisively on
-    # the largest generated graph, and retirement must be masking work.
+    # the largest generated graph.
     largest = raw["generated"][-1]
     assert (largest["kernel"]["fwbw"]["edges_per_sec"]
             >= 5 * largest["kernel"]["tarjan"]["edges_per_sec"])
-    for r in R_VALUES:
-        refine = largest["robust"][str(r)]["fwbw-refine"]
-        assert sum(refine["masked_edges_per_round"]) > 0
-    # The strict processed-edge reduction is a high-r claim: it needs the
-    # running meet to have fragmented far enough that whole parts retire.
-    # At low r, pivot-path divergence between the two modes can outweigh
-    # the small masked counts.
-    r_hi = str(max(R_VALUES))
-    assert (sum(largest["robust"][r_hi]["fwbw-refine"]["processed_edges_per_round"])
-            < sum(largest["robust"][r_hi]["fwbw-full"]["processed_edges_per_round"]))
-    # The batched kernel's acceptance gate, measured where the claim
-    # lives.  The deep tier is the amortisation regime — hundreds of
-    # sequential frontier waves over tiny arrays, per-call fixed costs
-    # dominant — and there the batched fold must at least double the
-    # per-sample fold's aggregate throughput (edge-rounds/sec over the
-    # whole fold); amortising those fixed costs across rounds is the
-    # kernel's reason to exist.  The shallow tiers are cache-bound
-    # (per-round element work is identical and the union domain is
-    # wider), so batching buys little there by design; a sanity floor
-    # keeps the backend from regressing into a pathology.
-    deep = raw["generated"][0]
-    assert deep["name"] == DEEP_TIER[0]
-    deep_modes = deep["robust"][r_hi]
-    assert (deep_modes["multi-full"]["edges_per_sec"]
-            >= 2 * deep_modes["fwbw-full"]["edges_per_sec"]), deep["name"]
-    for entry in raw["generated"][1:]:
-        modes = entry["robust"][r_hi]
-        assert (modes["multi-full"]["edges_per_sec"]
-                >= 0.5 * modes["fwbw-full"]["edges_per_sec"]), entry["name"]
 
 
 if __name__ == "__main__":

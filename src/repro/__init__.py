@@ -74,7 +74,7 @@ from .partition import Partition
 from .serve import DynamicModel, InfluenceService, QueryResult, ServiceConfig
 from .storage import PairStore, TripletStore
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # graph substrate

@@ -41,7 +41,6 @@ from .datasets import list_datasets, load_dataset
 from .errors import ReproError
 from .estimators import DEFAULT_ESTIMATOR, available_estimators, make_estimator
 from .graph import InfluenceGraph, read_edge_list, write_edge_list
-from .scc import DEFAULT_SCC_BACKEND, SCC_BACKENDS
 
 __all__ = ["main"]
 
@@ -108,13 +107,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
                              "print a metrics report on exit")
 
 
-def _add_coarsen_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scc-backend", choices=SCC_BACKENDS,
-                        default=DEFAULT_SCC_BACKEND,
-                        help="SCC implementation for the r-robust rounds "
-                             "(default %(default)s; see docs/performance.md)")
-
-
 def _parse_seeds(text: str, n: int) -> np.ndarray:
     try:
         seeds = np.asarray([int(s) for s in text.split(",") if s], dtype=np.int64)
@@ -161,7 +153,6 @@ def _cmd_coarsen(args: argparse.Namespace) -> int:
         graph, r=args.r, rng=args.seed,
         executor=args.executor or ("thread" if parallel else "serial"),
         workers=args.workers,
-        scc_backend=args.scc_backend,
     )
     if parallel:
         extras = result.stats.extras
@@ -205,8 +196,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     estimator = make_estimator(args.estimator, rng=args.seed, **opts)
     t0 = time.perf_counter()
     if args.coarsen:
-        result = coarsen_influence_graph(graph, r=args.r, rng=args.seed,
-                                         scc_backend=args.scc_backend)
+        result = coarsen_influence_graph(graph, r=args.r, rng=args.seed)
         value = estimate_on_coarse(result, seeds, estimator)
     else:
         value = estimator.estimate(graph, seeds)
@@ -234,8 +224,7 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
     maximizer = _MAXIMIZERS[args.algorithm](args)
     t0 = time.perf_counter()
     if args.coarsen:
-        result = coarsen_influence_graph(graph, r=args.r, rng=args.seed,
-                                         scc_backend=args.scc_backend)
+        result = coarsen_influence_graph(graph, r=args.r, rng=args.seed)
         answer = maximize_on_coarse(result, args.k, maximizer, rng=args.seed)
     else:
         answer = maximizer.select(graph, args.k)
@@ -254,8 +243,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.default_prob, args.undirected,
                         args.reverse)
     config = ServiceConfig(
-        r=args.r, seed=args.seed, scc_backend=args.scc_backend,
-        sampler=args.sampler,
+        r=args.r, seed=args.seed, sampler=args.sampler,
         n_samples=args.simulations, max_models=args.max_models,
         warm_dir=args.warm_dir, max_workers=args.workers,
         max_pending=args.max_pending, deadline_seconds=args.deadline,
@@ -309,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(p_coarsen)
     p_coarsen.add_argument("-r", type=int, default=16,
                            help="robustness parameter (default 16)")
-    _add_coarsen_arguments(p_coarsen)
     p_coarsen.add_argument("--executor", choices=("serial", "thread", "process"),
                            default=None,
                            help="run Algorithm 6 with this executor instead "
@@ -343,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run on the coarsened graph")
     p_est.add_argument("-r", type=int, default=16)
     p_est.add_argument("--seed", type=int, default=0)
-    _add_coarsen_arguments(p_est)
 
     p_max = sub.add_parser("maximize",
                            help="select an influential seed set (Algorithm 4)")
@@ -364,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run on the coarsened graph")
     p_max.add_argument("-r", type=int, default=16)
     p_max.add_argument("--seed", type=int, default=0)
-    _add_coarsen_arguments(p_max)
 
     p_serve = sub.add_parser(
         "serve",
@@ -379,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "printed on startup)")
     p_serve.add_argument("-r", type=int, default=16)
     p_serve.add_argument("--seed", type=int, default=0)
-    _add_coarsen_arguments(p_serve)
     p_serve.add_argument("--simulations", type=int, default=10_000,
                          help="default RR sets per query")
     p_serve.add_argument("--estimator",

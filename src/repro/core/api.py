@@ -19,7 +19,6 @@ import os
 
 from ..errors import CoarseningError
 from ..graph.influence_graph import InfluenceGraph
-from ..scc import DEFAULT_SCC_BACKEND
 from ..storage.triplet_store import DEFAULT_CHUNK_EDGES, TripletStore
 from .linear_space import coarsen_influence_graph as _coarsen_linear
 from .parallel import _EXECUTORS
@@ -43,7 +42,6 @@ def coarsen_influence_graph(
     executor: str = "serial",
     workers: "int | None" = None,
     space: str = "linear",
-    scc_backend: "str | None" = None,
     validate: bool = False,
     out_path: "str | os.PathLike[str] | None" = None,
     work_dir: "str | os.PathLike[str] | None" = None,
@@ -79,10 +77,6 @@ def coarsen_influence_graph(
         ``"linear"`` — everything in memory, O(n + m) resident;
         ``"sublinear"`` — Algorithm 2, O(V + F') resident, streaming from
         ``graph`` (a store) to ``out_path``.
-    scc_backend:
-        SCC implementation (see :mod:`repro.scc`); defaults to the fast
-        in-memory backend for linear space and ``"semi-external"`` for
-        sublinear space.
     validate:
         Re-verify the strong-connectivity precondition before contracting
         (serial linear path only).
@@ -126,8 +120,6 @@ def coarsen_influence_graph(
             chunk_edges=(DEFAULT_CHUNK_EDGES if chunk_edges is None
                          else chunk_edges),
             keep_sample_stores=keep_sample_stores,
-            scc_backend=("semi-external" if scc_backend is None
-                         else scc_backend),
         )
 
     for name, value in (("out_path", out_path), ("work_dir", work_dir),
@@ -140,11 +132,8 @@ def coarsen_influence_graph(
         raise CoarseningError(
             "keep_sample_stores= applies to space='sublinear' only"
         )
-    backend = DEFAULT_SCC_BACKEND if scc_backend is None else scc_backend
-
     if executor == "serial" and workers is None:
-        return _coarsen_linear(graph, r=r, rng=rng, scc_backend=backend,
-                               validate=validate)
+        return _coarsen_linear(graph, r=r, rng=rng, validate=validate)
     if validate:
         raise CoarseningError(
             "validate= is supported on the serial linear path only"
@@ -155,6 +144,5 @@ def coarsen_influence_graph(
         workers=4 if workers is None else workers,
         rng=rng,
         executor=executor,
-        scc_backend=backend,
     )
 

@@ -81,7 +81,7 @@ from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, span
 from ..partition.partition import Partition
 from ..rng import ensure_rng
-from ..scc import DEFAULT_SCC_BACKEND, backend_spec, multi_scc_labels, scc_labels
+from ..scc import scc_labels
 from .coarsen import coarsen
 from .result import CoarsenResult, CoarsenStats
 
@@ -191,9 +191,7 @@ class DynamicStats:
 
     ``scc_recomputations`` counts *logical* recomputation demands, one per
     (delta, sample) event; the actual kernel work is deferred to the end
-    of the batch, where each dirty sample is recomputed once — in a single
-    batched :func:`repro.scc.multi_scc_labels` call when the configured
-    backend supports it.
+    of the batch, where each dirty sample is recomputed once.
     """
 
     insertions: int = 0
@@ -220,7 +218,6 @@ def coarsen_addressable(
     graph: InfluenceGraph,
     r: int = 16,
     seed: int = 0,
-    scc_backend: str = DEFAULT_SCC_BACKEND,
 ) -> CoarsenResult:
     """Cold coarsening under the *addressable* coin discipline.
 
@@ -238,24 +235,11 @@ def coarsen_addressable(
     tails, heads, probs = graph.edge_arrays()
     partition = Partition.trivial(graph.n)
     with span("coarsen_addressable", r=r, n=graph.n, m=graph.m):
-        if backend_spec(scc_backend).supports_batch and r:
-            # Batch-capable backend: draw every sample's coins, then run
-            # ONE multi-sample decomposition over all r masks.  The meet
-            # fold over the label rows is the same sequence of canonical
-            # meets as the per-sample loop, so the result is bit-for-bit
-            # unchanged (the dynamic differential suite pins this).
-            keep = np.empty((r, graph.m), dtype=bool)
-            for i in range(r):
-                keep[i] = edge_coin_uniforms(tails, heads, i, seed) < probs
-            rows = multi_scc_labels(graph.indptr, graph.heads, keep)
-            for i in range(r):
-                partition = partition.meet(Partition(rows[i]))
-        else:
-            for i in range(r):
-                keep = edge_coin_uniforms(tails, heads, i, seed) < probs
-                indptr, kept_heads = live_edge_csr_from_mask(graph, keep)
-                labels = scc_labels(indptr, kept_heads, backend=scc_backend)
-                partition = partition.meet(Partition(labels))
+        for i in range(r):
+            keep = edge_coin_uniforms(tails, heads, i, seed) < probs
+            indptr, kept_heads = live_edge_csr_from_mask(graph, keep)
+            labels = scc_labels(indptr, kept_heads)
+            partition = partition.meet(Partition(labels))
         coarse, pi = coarsen(graph, partition)
     stats = CoarsenStats(
         r=r,
@@ -289,10 +273,11 @@ class DynamicCoarsener:
     """
 
     def __init__(self, graph: InfluenceGraph, r: int = 16, rng=None,
-                 scc_backend: str = DEFAULT_SCC_BACKEND,
                  coins: str = "stream") -> None:
         if graph.is_weighted:
             raise CoarseningError("dynamic coarsening expects an unweighted input")
+        if r < 0:
+            raise CoarseningError("r must be non-negative")
         if coins not in COIN_DISCIPLINES:
             raise CoarseningError(
                 f"coins must be one of {COIN_DISCIPLINES}, not {coins!r}"
@@ -313,7 +298,6 @@ class DynamicCoarsener:
         else:
             self.seed = None
             self._rng = ensure_rng(rng)
-        self._scc_backend = scc_backend
         self.stats = DynamicStats()
 
         tails, heads, probs = graph.edge_arrays()
@@ -333,15 +317,7 @@ class DynamicCoarsener:
                 self._keep[i] = edge_coin_uniforms(tails, heads, i, self.seed) < probs
             else:
                 self._keep[i] = self._rng.random(graph.m) < probs
-        self._comps: "list[Partition]"
-        if backend_spec(scc_backend).supports_batch and r:
-            # One batched decomposition over all r masks instead of r
-            # per-sample kernel calls; canonical per-row partitions are
-            # identical either way.
-            rows = multi_scc_labels(self._indptr, self._heads, self._keep)
-            self._comps = [Partition(rows[i]) for i in range(r)]
-        else:
-            self._comps = [self._scc_partition(i) for i in range(r)]
+        self._comps = [self._scc_partition(i) for i in range(r)]
         # Bumped on every applied batch; snapshot()/current_graph() caches
         # are keyed by it.
         self._version = 0
@@ -419,9 +395,7 @@ class DynamicCoarsener:
         counts = np.bincount(self._tails[keep], minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return Partition(
-            scc_labels(indptr, self._heads[keep], backend=self._scc_backend)
-        )
+        return Partition(scc_labels(indptr, self._heads[keep]))
 
     def _sample_reaches(self, i: int, src: int, dst: int) -> "bool | None":
         """Does ``src`` reach ``dst`` in live sample ``i``?
@@ -455,22 +429,10 @@ class DynamicCoarsener:
 
     def _refresh_samples(self, dirty: "list[int]") -> bool:
         """Recompute the SCC partitions of the ``dirty`` samples against the
-        current masks; True when any partition changed.
-
-        Under a batch-capable backend (``"multi"``) all dirty samples go
-        through **one** kernel call on the shared base CSR — this is where
-        a delta-heavy epoch amortises its recomputations.  Canonical
-        partitions are backend-independent, so the maintained state is the
-        same either way.
-        """
+        current masks; True when any partition changed."""
         changed = False
-        if len(dirty) > 1 and backend_spec(self._scc_backend).supports_batch:
-            rows = multi_scc_labels(self._indptr, self._heads,
-                                    self._keep[dirty])
-            fresh = [Partition(rows[j]) for j in range(len(dirty))]
-        else:
-            fresh = [self._scc_partition(i) for i in dirty]
-        for i, new_comp in zip(dirty, fresh):
+        for i in dirty:
+            new_comp = self._scc_partition(i)
             if new_comp != self._comps[i]:
                 self._comps[i] = new_comp
                 changed = True
@@ -635,11 +597,10 @@ class DynamicCoarsener:
         The batch is validated up front (all-or-nothing), pruning checks
         run per materialised delta (see the module docstring), and all the
         SCC recomputations the checks could not prune are deferred and run
-        **once** against the final masks — one batched multi-sample kernel
-        call when the backend supports it.  The partition/bundle state is
-        likewise repaired once at the end: a single
-        ``_rebuild_from_components`` if any sample's partition changed,
-        else one exact recompute per touched coarse bundle.
+        **once** per dirty sample against the final masks.  The
+        partition/bundle state is likewise repaired once at the end: a
+        single ``_rebuild_from_components`` if any sample's partition
+        changed, else one exact recompute per touched coarse bundle.
 
         Returns a summary dict ``{"applied", "fast", "rebuilt",
         "coarse_changed"}`` — ``coarse_changed`` is False exactly when the
@@ -654,12 +615,11 @@ class DynamicCoarsener:
         self._validate_deltas(deltas)
         # Samples whose pruning checks failed: their SCCs are recomputed
         # ONCE, against the final masks, after the whole batch has been
-        # spliced (one batched kernel call under a batch-capable backend).
-        # Deferral is exact — pruned deltas provably leave a sample's
-        # partition unchanged, so a never-dirty sample's labels stay the
-        # true SCCs of its current mask throughout the loop, and a dirty
-        # sample skips further checks (its labels are stale) and heads
-        # straight to the batched recomputation.
+        # spliced.  Deferral is exact — pruned deltas provably leave a
+        # sample's partition unchanged, so a never-dirty sample's labels
+        # stay the true SCCs of its current mask throughout the loop, and a
+        # dirty sample skips further checks (its labels are stale) and
+        # heads straight to the deferred recomputation.
         dirty: "dict[int, None]" = {}
         touched: "dict[tuple[int, int], None]" = {}
         for d in deltas:

@@ -12,7 +12,6 @@ import time
 
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import STAGE_CONTRACT, StageTimes, inc, span
-from ..scc import DEFAULT_SCC_BACKEND
 from .coarsen import coarsen
 from .result import CoarsenResult, CoarsenStats
 from .robust_scc import robust_scc_partition
@@ -24,7 +23,6 @@ def coarsen_influence_graph(
     graph: InfluenceGraph,
     r: int = 16,
     rng=None,
-    scc_backend: str = DEFAULT_SCC_BACKEND,
     validate: bool = False,
 ) -> CoarsenResult:
     """Coarsen ``graph`` by its r-robust SCC partition (Algorithm 1).
@@ -39,8 +37,6 @@ def coarsen_influence_graph(
         accurate coarse graph (Theorems 4.14/4.15).
     rng:
         Seed or generator; fixes the sampled live-edge graphs.
-    scc_backend:
-        In-memory SCC implementation (see :mod:`repro.scc`).
     validate:
         Re-verify the strong-connectivity precondition before contracting
         (always true by construction; useful in tests).
@@ -51,12 +47,9 @@ def coarsen_influence_graph(
         ``H``, the mapping ``pi``, the partition, and run statistics.
     """
     stages = StageTimes()
-    with span("coarsen_linear", r=r, n=graph.n, m=graph.m,
-              backend=scc_backend):
+    with span("coarsen_linear", r=r, n=graph.n, m=graph.m):
         t0 = time.perf_counter()
-        partition = robust_scc_partition(
-            graph, r, rng=rng, scc_backend=scc_backend, stages=stages
-        )
+        partition = robust_scc_partition(graph, r, rng=rng, stages=stages)
         t1 = time.perf_counter()
         with stages.stage(STAGE_CONTRACT):
             coarse, pi = coarsen(graph, partition, validate=validate)

@@ -49,7 +49,6 @@ from ..obs import (
 )
 from ..partition.partition import Partition, meet_all
 from ..rng import spawn_rngs
-from ..scc import DEFAULT_SCC_BACKEND
 from .coarsen import coarsen
 from .result import CoarsenResult, CoarsenStats
 from .robust_scc import robust_scc_partition
@@ -71,12 +70,12 @@ def split_rounds(r: int, workers: int) -> list[int]:
     """
     if workers <= 0:
         raise AlgorithmError("worker count must be positive")
+    if r < 0:
+        raise AlgorithmError("r must be non-negative")
     if r == 0:
         return [0]
     effective = min(workers, r)
-    counts = [(r + t) // effective for t in range(effective)]
-    assert sum(counts) == r
-    return counts
+    return [(r + t) // effective for t in range(effective)]
 
 
 class GraphHandle:
@@ -124,13 +123,10 @@ def _init_worker(handle: GraphHandle) -> None:
     handle.resolve()
 
 
-def _worker(
-    handle: GraphHandle, index: int, r_t: int, seed: int, scc_backend: str
-) -> np.ndarray:
+def _worker(handle: GraphHandle, index: int, r_t: int, seed: int) -> np.ndarray:
     graph = handle.resolve()
     with span("parallel_worker", worker=index, r_t=r_t):
-        partition = robust_scc_partition(graph, r_t, rng=seed,
-                                         scc_backend=scc_backend)
+        partition = robust_scc_partition(graph, r_t, rng=seed)
     return partition.labels
 
 
@@ -140,7 +136,6 @@ def coarsen_influence_graph_parallel(
     workers: int = 4,
     rng=None,
     executor: str = "thread",
-    scc_backend: str = DEFAULT_SCC_BACKEND,
 ) -> CoarsenResult:
     """Coarsen ``graph`` using up to ``workers`` parallel partition builders.
 
@@ -189,7 +184,7 @@ def coarsen_influence_graph_parallel(
                 with span("parallel_partition_build", workers=n_workers):
                     _init_worker(handle)
                     label_arrays = [
-                        _worker(handle, i, r_t, seed, scc_backend)
+                        _worker(handle, i, r_t, seed)
                         for i, r_t, seed in tasks
                     ]
                 with stages.stage(STAGE_MEET, workers=n_workers):
@@ -210,8 +205,7 @@ def coarsen_influence_graph_parallel(
                 with pool_cls(**pool_kwargs) as pool:
                     with span("parallel_partition_build", workers=n_workers):
                         futures = [
-                            pool.submit(_worker, handle, i, r_t, seed,
-                                        scc_backend)
+                            pool.submit(_worker, handle, i, r_t, seed)
                             for i, r_t, seed in tasks
                         ]
                         label_arrays = [f.result() for f in futures]

@@ -15,23 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..diffusion.live_edge import (
-    live_edge_csr_from_mask,
-    sample_live_edge_csr,
-    sample_live_edge_mask,
-)
+from ..diffusion.live_edge import sample_live_edge_csr
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
-from ..obs import STAGE_MEET, STAGE_SAMPLE, STAGE_SCC, StageTimes, inc, span
+from ..obs import STAGE_MEET, STAGE_SAMPLE, STAGE_SCC, StageTimes, span
 from ..partition.partition import Partition
 from ..rng import ensure_rng
-from ..scc import (
-    DEFAULT_SCC_BACKEND,
-    backend_spec,
-    multi_chunk_cap,
-    multi_scc_labels,
-    scc_labels,
-)
+from ..scc import scc_labels
 
 __all__ = ["robust_scc_partition", "robust_scc_refinement_sequence"]
 
@@ -40,10 +30,9 @@ def robust_scc_partition(
     graph: InfluenceGraph,
     r: int,
     rng=None,
-    scc_backend: str = DEFAULT_SCC_BACKEND,
+    *,
     keep_samples: bool = False,
     stages: "StageTimes | None" = None,
-    refine: "bool | None" = None,
 ) -> "Partition | tuple[Partition, list[tuple[np.ndarray, np.ndarray]]]":
     """The partition of all r-robust SCCs w.r.t. ``r`` fresh live-edge samples.
 
@@ -57,8 +46,6 @@ def robust_scc_partition(
         one-block partition ``{V}`` per the paper's convention.
     rng:
         Seed or generator (fixing it fixes the sampled graphs).
-    scc_backend:
-        SCC implementation to use per sample (see :mod:`repro.scc`).
     keep_samples:
         Also return the sampled ``(indptr, heads)`` CSRs — needed by the
         dynamic-update module and by invariant tests.  Costs O(r * m) memory,
@@ -67,53 +54,20 @@ def robust_scc_partition(
         Optional :class:`~repro.obs.StageTimes` accumulating the
         ``sample``/``scc``/``meet`` wall-time breakdown (one is created
         internally when omitted, so tracer spans are emitted either way).
-    refine:
-        Make the fold *refinement-aware*: each round passes the running
-        partition to the SCC backend so it can skip work that provably
-        cannot refine the meet any further (Theorem 4.11's incremental
-        structure — blocks only ever split, so singleton-block vertices are
-        settled forever).  ``None`` (the default) enables this exactly for
-        the backends that support a block restriction (``fwbw`` and
-        ``multi``); ``True`` forces it (an :class:`AlgorithmError` for
-        other backends); ``False`` recomputes full per-sample SCCs.  The
-        result is identical either way — the restriction is exact, not a
-        heuristic; tests pin this.  Under ``scc_backend="multi"`` the fold
-        runs in chunks of :func:`repro.scc.multi_chunk_cap` rounds (wider
-        on smaller graphs, where batching amortises best) in both modes:
-        refining chunks see the meet of earlier ones, and the full fold
-        takes the same finest-partition early exit as the per-sample loop
-        at chunk boundaries.
     """
     if r < 0:
         raise AlgorithmError("r must be non-negative")
-    restrictable = backend_spec(scc_backend).supports_block_labels
-    if refine is None:
-        refine = restrictable
-    elif refine and not restrictable:
-        raise AlgorithmError(
-            f"refine=True requires a block-restrictable backend "
-            f"(fwbw, multi), not {scc_backend!r}"
-        )
     rng = ensure_rng(rng)
     if stages is None:
         stages = StageTimes()
     partition = Partition.trivial(graph.n)
-    if scc_backend == "multi":
-        return _robust_partition_batched(
-            graph, r, rng, keep_samples, stages, refine, partition
-        )
     samples: list[tuple[np.ndarray, np.ndarray]] = []
-    with span("robust_scc_partition", r=r, n=graph.n, m=graph.m,
-              backend=scc_backend, refine=refine):
+    with span("robust_scc_partition", r=r, n=graph.n, m=graph.m):
         for i in range(r):
             with stages.stage(STAGE_SAMPLE, round=i):
                 indptr, heads = sample_live_edge_csr(graph, rng)
-            # The trivial first-round partition has no singleton blocks, so
-            # the restriction could not prune anything — skip its setup.
-            blocks = partition.labels if refine and i > 0 else None
             with stages.stage(STAGE_SCC, round=i):
-                labels = scc_labels(indptr, heads, backend=scc_backend,
-                                    block_labels=blocks)
+                labels = scc_labels(indptr, heads)
             with stages.stage(STAGE_MEET, round=i):
                 partition = partition.meet(Partition(labels, canonical=False))
             if keep_samples:
@@ -130,74 +84,8 @@ def robust_scc_partition(
     return partition
 
 
-def _robust_partition_batched(
-    graph: InfluenceGraph,
-    r: int,
-    rng,
-    keep_samples: bool,
-    stages: StageTimes,
-    refine: bool,
-    partition: Partition,
-) -> "Partition | tuple[Partition, list[tuple[np.ndarray, np.ndarray]]]":
-    """The ``scc_backend="multi"`` fold: one batched kernel pass (or a few
-    refinement chunks) over all ``r`` keep-masks.
-
-    Draws exactly the same masks in exactly the same RNG order as the
-    per-sample loop, and folds the per-round label rows through the same
-    sequence of meets — so the result (and everything derived from it:
-    ``pi``, the coarse graph ``H``, its digest) is bit-for-bit identical
-    to the per-sample path.  The differential suite pins this.
-    """
-    masks = np.empty((r, graph.m), dtype=bool)
-    drawn = 0
-
-    def draw_until(stop: int) -> None:
-        # Masks are drawn in fold order, one rng draw per round — the same
-        # stream the per-sample loop consumes, so chunked early exit cannot
-        # perturb the sampled graphs.
-        nonlocal drawn
-        while drawn < stop:
-            with stages.stage(STAGE_SAMPLE, round=drawn):
-                masks[drawn] = sample_live_edge_mask(graph, rng)
-            inc("sample.live_edge_graphs")
-            inc("sample.edges_kept", int(np.count_nonzero(masks[drawn])))
-            drawn += 1
-
-    with span("robust_scc_partition", r=r, n=graph.n, m=graph.m,
-              backend="multi", refine=refine):
-        # Both modes fold in chunks: refine mode to refresh the block
-        # restriction, full mode so the finest-partition early exit (the
-        # same one the per-sample fold takes) fires between kernel calls.
-        # Width scales inversely with graph size — see multi_chunk_cap.
-        chunk = multi_chunk_cap(graph.m)
-        for start in range(0, r, chunk):
-            if partition.n_blocks == graph.n and not keep_samples:
-                break
-            stop = min(start + chunk, r)
-            draw_until(stop)
-            # As in the per-sample fold, the trivial partition has no
-            # singleton blocks, so the first chunk skips restriction setup.
-            blocks = (partition.labels
-                      if refine and partition.n_blocks > 1 else None)
-            sub = masks[start:stop]
-            with stages.stage(STAGE_SCC, round=start):
-                rows = multi_scc_labels(graph.indptr, graph.heads, sub,
-                                        block_labels=blocks)
-            for j in range(rows.shape[0]):
-                with stages.stage(STAGE_MEET, round=start + j):
-                    partition = partition.meet(
-                        Partition(rows[j], canonical=False)
-                    )
-    if keep_samples:
-        draw_until(r)
-        samples = [live_edge_csr_from_mask(graph, masks[i]) for i in range(r)]
-        return partition, samples
-    return partition
-
-
 def robust_scc_refinement_sequence(
-    graph: InfluenceGraph, r: int, rng=None,
-    scc_backend: str = DEFAULT_SCC_BACKEND,
+    graph: InfluenceGraph, r: int, rng=None
 ) -> list[Partition]:
     """The chain ``P_1, P_2, ..., P_r`` over one shared sample sequence.
 
@@ -205,12 +93,14 @@ def robust_scc_refinement_sequence(
     theorems (4.14/4.15) hold *deterministically* along the chain — this is
     what the r-sweep figures (4–6, 10) iterate over without resampling.
     """
+    if r < 0:
+        raise AlgorithmError("r must be non-negative")
     rng = ensure_rng(rng)
     partition = Partition.trivial(graph.n)
     chain: list[Partition] = []
     for _ in range(r):
         indptr, heads = sample_live_edge_csr(graph, rng)
-        labels = scc_labels(indptr, heads, backend=scc_backend)
+        labels = scc_labels(indptr, heads)
         partition = partition.meet(Partition(labels, canonical=False))
         chain.append(partition)
     return chain

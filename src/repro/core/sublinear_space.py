@@ -37,7 +37,6 @@ from ..obs import (
 )
 from ..partition.partition import Partition
 from ..rng import ensure_rng
-from ..scc import backend_spec, scc_labels
 from ..scc.semi_external import semi_external_scc_labels
 from ..storage.triplet_store import DEFAULT_CHUNK_EDGES, PairStore, TripletStore
 from .result import CoarsenResult, CoarsenStats
@@ -79,7 +78,6 @@ def coarsen_influence_graph_sublinear(
     work_dir: "str | os.PathLike[str] | None" = None,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     keep_sample_stores: bool = False,
-    scc_backend: str = "semi-external",
 ) -> SublinearResult:
     """Coarsen a disk-resident influence graph (Algorithm 2).
 
@@ -99,20 +97,9 @@ def coarsen_influence_graph_sublinear(
         Streaming chunk size; bounds resident memory per pass.
     keep_sample_stores:
         Retain the sampled pair stores (debugging/tests).
-    scc_backend:
-        ``"semi-external"`` (the default) keeps the Algorithm 2 memory
-        contract: O(V) resident state per SCC round, everything else
-        streamed.  Any in-memory backend name (see
-        :data:`repro.scc.SCC_BACKENDS`) is accepted as a fallback for
-        samples that do fit — the pair store is materialised, CSR-sorted and
-        labelled in memory (O(V + sampled edges) resident for that round),
-        which is much faster when the memory budget allows it.
     """
     if r < 0:
         raise CoarseningError("r must be non-negative")
-    # One validation point for every dispatch surface: a misspelling gets
-    # the registry's full menu (streaming backends included) up front.
-    backend_spec(scc_backend)
     rng = ensure_rng(rng)
     out_path = os.fspath(out_path)
     if work_dir is None:
@@ -134,13 +121,10 @@ def coarsen_influence_graph_sublinear(
                     if keep.any():
                         sample.append(tails[keep], heads[keep])
             with stages.stage(STAGE_SCC, round=i):
-                if scc_backend == "semi-external":
-                    labels, scc_stats = semi_external_scc_labels(
-                        sample, chunk_edges=chunk_edges, return_stats=True
-                    )
-                    stream_passes += scc_stats.stream_passes
-                else:
-                    labels = _in_memory_scc(sample, scc_backend)
+                labels, scc_stats = semi_external_scc_labels(
+                    sample, chunk_edges=chunk_edges, return_stats=True
+                )
+                stream_passes += scc_stats.stream_passes
             with stages.stage(STAGE_MEET, round=i):
                 partition = partition.meet(Partition(labels, canonical=False))
             if not keep_sample_stores:
@@ -178,17 +162,6 @@ def coarsen_influence_graph_sublinear(
     return SublinearResult(
         store=out, weights=weights, pi=pi.copy(), partition=partition, stats=stats
     )
-
-
-def _in_memory_scc(sample: PairStore, backend: str) -> np.ndarray:
-    """In-memory fallback for one sampled graph: materialise the pair store,
-    CSR-sort it, and dispatch to the requested array backend."""
-    tails, heads = sample.read_all()
-    order = np.argsort(tails, kind="stable")
-    tails, heads = tails[order], heads[order]
-    indptr = np.zeros(sample.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=sample.n), out=indptr[1:])
-    return scc_labels(indptr, heads, backend=backend)
 
 
 def _contract_streaming(

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from ..errors import AlgorithmError
 from ..graph.influence_graph import InfluenceGraph
-from ..scc import DEFAULT_SCC_BACKEND
 from .coarsen import coarsen
 from .robust_scc import robust_scc_refinement_sequence
 
@@ -38,7 +37,6 @@ def r_sweep(
     graph: InfluenceGraph,
     r_values: Sequence[int] = (1, 2, 4, 8, 16, 32),
     rng=None,
-    scc_backend: str = DEFAULT_SCC_BACKEND,
 ) -> list[RSweepPoint]:
     """Size of the coarsened graph at each candidate ``r``.
 
@@ -51,9 +49,7 @@ def r_sweep(
     if any(r < 1 for r in r_values):
         raise AlgorithmError("r candidates must be >= 1")
     r_values = sorted(set(int(r) for r in r_values))
-    chain = robust_scc_refinement_sequence(
-        graph, max(r_values), rng=rng, scc_backend=scc_backend
-    )
+    chain = robust_scc_refinement_sequence(graph, max(r_values), rng=rng)
     points = []
     for r in r_values:
         coarse, _ = coarsen(graph, chain[r - 1])

@@ -1,4 +1,4 @@
-"""The estimator-backend registry (the estimation twin of :mod:`repro.scc`).
+"""The estimator-backend registry.
 
 Four estimator families behind one dispatch point:
 
@@ -17,8 +17,7 @@ Four estimator families behind one dispatch point:
 Every family lives in one registry: :func:`available_estimators` is the
 single source of truth the CLI ``--estimator`` choices,
 ``ServiceConfig(estimator=...)`` validation, and every "unknown
-estimator" error message draw from — exactly the
-:func:`repro.scc.available_backends` contract.  :func:`make_estimator`
+estimator" error message draw from.  :func:`make_estimator`
 constructs a protocol-conforming estimator
 (:class:`repro.core.frameworks.InfluenceEstimator`);
 :func:`estimate_with_report` runs it through the Framework translation

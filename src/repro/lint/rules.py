@@ -428,7 +428,7 @@ class DtypeDiscipline(Rule):
                 )
         # int32 indices are a *size-gated* optimisation: any kernel module
         # that selects np.int32 must also derive its overflow bound from
-        # np.iinfo(np.int32) (the fwbw/multi discipline) — a hard-coded or
+        # np.iinfo(np.int32) (the fwbw discipline) — a hard-coded or
         # missing bound silently corrupts labels past 2**31 elements.
         if ctx.package_rel.startswith(self.GATE_SCOPES) and not gated:
             # iinfo(np.int32) arguments are themselves np.int32 attribute

@@ -1,5 +1,5 @@
 """Vertex partitions and the meet operation (Appendix B)."""
 
-from .partition import Partition, meet_all, meet_labels, meet_labels_hash
+from .partition import Partition, meet_all, meet_labels
 
-__all__ = ["Partition", "meet_all", "meet_labels", "meet_labels_hash"]
+__all__ = ["Partition", "meet_all", "meet_labels"]

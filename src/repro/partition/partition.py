@@ -6,15 +6,11 @@ The *meet* ``P ∧ Q`` — the coarsest partition finer than both — is the cor
 incremental step of r-robust SCC construction (Theorem 4.11):
 ``P_i = P_{i-1} ∧ C_i``.
 
-Two meet implementations are provided:
-
-* :func:`meet_labels_hash` — the paper's Algorithm 5, a single scan with a
-  hash table, O(n) expected time;
-* :func:`meet_labels` — a vectorised equivalent using a packed-key
-  ``numpy.unique``, the default on CPython where the interpreted loop is the
-  bottleneck.
-
-``bench_ablation_meet`` compares the two.
+:func:`meet_labels` computes the meet with a packed-key ``numpy.unique``
+instead of the paper's Algorithm 5 (a single scan with a hash table): the
+result is the same canonical labelling, without an interpreted per-vertex
+loop.  The test suite keeps Algorithm 5 verbatim as the reference it is
+checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import numpy as np
 from ..errors import PartitionError
 from ..obs import inc, span
 
-__all__ = ["Partition", "meet_all", "meet_labels", "meet_labels_hash"]
+__all__ = ["Partition", "meet_all", "meet_labels"]
 
 
 def meet_labels(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -46,29 +42,6 @@ def meet_labels(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     key = p.astype(np.int64) * q_span + q.astype(np.int64)
     _, inverse = np.unique(key, return_inverse=True)
     return _canonicalize(inverse.astype(np.int64))
-
-
-def meet_labels_hash(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Algorithm 5 verbatim: single scan with a hash table.
-
-    Produces canonical (first-occurrence-numbered) labels directly.
-    """
-    if p.shape != q.shape:
-        raise PartitionError("partitions must cover the same vertex set")
-    table: dict[tuple[int, int], int] = {}
-    out = np.empty(p.size, dtype=np.int64)
-    next_label = 0
-    p_list = p.tolist()
-    q_list = q.tolist()
-    for v in range(p.size):
-        pair = (p_list[v], q_list[v])
-        label = table.get(pair)
-        if label is None:
-            label = next_label
-            table[pair] = label
-            next_label += 1
-        out[v] = label
-    return out
 
 
 def _meet_pair(pair: "tuple[Partition, Partition]") -> "Partition":
@@ -207,7 +180,7 @@ class Partition:
 
     # -- lattice operations ------------------------------------------------
 
-    def meet(self, other: "Partition", method: str = "numpy") -> "Partition":
+    def meet(self, other: "Partition") -> "Partition":
         """The coarsest common refinement ``self ∧ other``.
 
         Trivial and discrete arguments short-circuit without the packed
@@ -217,11 +190,9 @@ class Partition:
         partition bottoms out.  Partitions are immutable value objects, so
         returning the argument itself is safe.
         """
-        if method not in ("numpy", "hash"):
-            raise PartitionError(f"unknown meet method {method!r}")
         if self.n != other.n:
             raise PartitionError("partitions must cover the same vertex set")
-        with span("partition_meet", n=self.n, method=method):
+        with span("partition_meet", n=self.n):
             inc("partition.meets")
             if self._n_blocks <= 1:
                 return other
@@ -231,10 +202,7 @@ class Partition:
                 return self
             if other._n_blocks == other.n:
                 return other
-            if method == "numpy":
-                return Partition(meet_labels(self.labels, other.labels),
-                                 canonical=True)
-            return Partition(meet_labels_hash(self.labels, other.labels),
+            return Partition(meet_labels(self.labels, other.labels),
                              canonical=True)
 
     def is_refinement_of(self, other: "Partition") -> bool:

@@ -1,228 +1,49 @@
 """Strongly-connected-component algorithms.
 
-Five independent implementations with one dispatch point:
+One kernel per job:
 
-* ``"fwbw"`` — vectorised forward–backward decomposition with trimming and
-  a coloring phase (:mod:`repro.scc.fwbw`), the default: it runs on numpy
-  frontiers instead of a per-vertex interpreter loop and accepts a
-  ``block_labels`` restriction for refinement-aware r-robust rounds;
-* ``"multi"`` — the batched multi-sample variant (:mod:`repro.scc.multi`):
-  one decomposition over the disjoint union of all ``r`` live-edge rounds,
-  amortising CSR traversal across the sample axis.  On a single CSR it
-  degrades gracefully to a one-row batch;
-* ``"tarjan"`` — iterative Tarjan, the pure-Python reference routine;
-* ``"kosaraju"`` — two-pass Kosaraju, an independent cross-check;
-* ``"scipy"`` — optional acceleration via :mod:`scipy.sparse.csgraph` when
-  scipy is installed (results are label-equivalent; tests verify this).
+* :func:`scc_labels` — the in-memory routine every CSR caller uses
+  (Algorithms 1, 6 and 7): the vectorised forward–backward decomposition
+  with trimming and a coloring phase (:mod:`repro.scc.fwbw`), wrapped in an
+  ``scc_labels`` span and the ``scc.runs`` counter;
+* :func:`semi_external_scc_labels` — the streaming routine Algorithm 2 runs
+  on disk pair stores with O(V) resident state
+  (:mod:`repro.scc.semi_external`).
 
-The semi-external streaming algorithm (:mod:`repro.scc.semi_external`)
-is registered too — so misspellings fail fast with the full menu — but it
-operates on disk stores, not CSR arrays, and is dispatched by the
-sublinear-space path rather than :func:`scc_labels`.
-
-Every kernel lives in one :data:`registry <BackendSpec>`:
-:func:`available_backends` is the single source of truth the CLI
-``--scc-backend`` choices, the sublinear-space validation, and every
-"unknown backend" error message draw from.
+:func:`tarjan_scc_labels` (iterative Tarjan) and
+:func:`kosaraju_scc_labels` (two-pass Kosaraju) are independent reference
+implementations: the test suite and ``bench_ablation_scc`` cross-check
+the kernel against them.  No library path dispatches to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import AlgorithmError
 from ..obs import inc, span
 from .fwbw import FwbwStats, fwbw_scc_labels
 from .kosaraju import kosaraju_scc_labels
-from .multi import (
-    MULTI_REFINE_CHUNK,
-    MultiStats,
-    multi_chunk_cap,
-    multi_scc_labels,
-)
 from .semi_external import SemiExternalStats, semi_external_scc_labels
 from .tarjan import tarjan_scc_labels
 
 __all__ = [
     "scc_labels",
     "fwbw_scc_labels",
-    "multi_chunk_cap",
-    "multi_scc_labels",
     "tarjan_scc_labels",
     "kosaraju_scc_labels",
     "semi_external_scc_labels",
-    "available_backends",
-    "backend_spec",
-    "BackendSpec",
     "FwbwStats",
-    "MultiStats",
-    "MULTI_REFINE_CHUNK",
     "SemiExternalStats",
-    "SCC_BACKENDS",
-    "DEFAULT_SCC_BACKEND",
 ]
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One registered SCC kernel and its capabilities.
-
-    ``supports_block_labels`` marks kernels that accept the running
-    r-robust partition as a restriction (``refine=True`` in
-    :func:`repro.core.robust_scc.robust_scc_partition`);
-    ``supports_batch`` marks kernels that consume the whole ``(r, m)``
-    keep-mask matrix in one call; ``streaming`` marks kernels that operate
-    on disk pair stores instead of in-memory CSR arrays; ``optional``
-    marks kernels behind an optional dependency.
-    """
-
-    name: str
-    summary: str
-    supports_block_labels: bool = False
-    supports_batch: bool = False
-    streaming: bool = False
-    optional: bool = False
-
-
-_REGISTRY: "dict[str, BackendSpec]" = {
-    spec.name: spec
-    for spec in (
-        BackendSpec(
-            "fwbw",
-            "vectorised FW-BW with trimming and coloring (default)",
-            supports_block_labels=True,
-        ),
-        BackendSpec(
-            "multi",
-            "batched FW-BW over all r live-edge rounds at once",
-            supports_block_labels=True,
-            supports_batch=True,
-        ),
-        BackendSpec("tarjan", "iterative Tarjan, pure-Python reference"),
-        BackendSpec("kosaraju", "two-pass Kosaraju cross-check"),
-        BackendSpec(
-            "scipy",
-            "scipy.sparse.csgraph accelerator (optional dependency)",
-            optional=True,
-        ),
-        BackendSpec(
-            "semi-external",
-            "Algorithm 2 streaming SCC over disk pair stores",
-            streaming=True,
-        ),
-    )
-}
-
-
-def available_backends(streaming: bool = False) -> "tuple[str, ...]":
-    """Registered backend names, in registration order.
-
-    With ``streaming=False`` (the default) only in-memory CSR kernels are
-    listed — the menu :func:`scc_labels` and the ``--scc-backend`` CLI
-    flag accept.  ``streaming=True`` adds the disk-store kernels accepted
-    by the sublinear-space path.
-    """
-    return tuple(
-        name for name, spec in _REGISTRY.items()
-        if streaming or not spec.streaming
-    )
-
-
-def backend_spec(backend: str) -> BackendSpec:
-    """The :class:`BackendSpec` for ``backend``; raises on unknown names.
-
-    The one validation point every dispatch surface shares, so a
-    misspelled backend fails *early* and the error always lists the full,
-    current menu.
-    """
-    try:
-        return _REGISTRY[backend]
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown SCC backend {backend!r}; choose from "
-            f"{available_backends(streaming=True)}"
-        ) from None
-
-
-#: In-memory CSR backends — what ``--scc-backend`` offers.  Derived from
-#: the registry so the CLI choices, error messages, and
-#: :func:`available_backends` can never drift apart.
-SCC_BACKENDS = available_backends()
-
-#: Backend used when callers don't choose one.  ``fwbw`` is bit-identical to
-#: ``tarjan`` up to label renaming (the differential suite pins this) and an
-#: order of magnitude faster on large graphs; see ``docs/performance.md``.
-DEFAULT_SCC_BACKEND = "fwbw"
-
-
-def _scipy_scc_labels(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    # The one sanctioned scipy touchpoint: an *optional* accelerator backend,
-    # imported lazily, never on the default path, and failing over to an
-    # AlgorithmError when scipy is absent (see scc_labels below).
-    from scipy.sparse import csr_array  # reprolint: disable=RL001 - optional backend
-    from scipy.sparse.csgraph import connected_components  # reprolint: disable=RL001 - optional backend
-
-    n = indptr.size - 1
-    data = np.ones(heads.size, dtype=np.int8)
-    matrix = csr_array((data, heads, indptr), shape=(n, n))
-    _, labels = connected_components(matrix, directed=True, connection="strong")
-    return labels.astype(np.int64)
-
-
-def scc_labels(
-    indptr: np.ndarray,
-    heads: np.ndarray,
-    backend: str = DEFAULT_SCC_BACKEND,
-    block_labels: "np.ndarray | None" = None,
-) -> np.ndarray:
+def scc_labels(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Label every vertex of a CSR digraph with its SCC id.
 
-    ``backend`` selects the implementation (see module docstring).  Labels
-    differ between backends only by renaming; canonicalise with
-    :class:`repro.partition.Partition` before comparing.
-
-    ``block_labels`` optionally restricts the computation to refining a
-    running partition (the ``fwbw`` and ``multi`` backends skip work that
-    cannot split a surviving block; other backends compute the full SCC,
-    which is always a valid refinement input).  With a restriction in
-    place only the meet ``block_labels ∧ result`` is meaningful — see
-    :func:`repro.scc.fwbw.fwbw_scc_labels`.
+    Runs :func:`~repro.scc.fwbw.fwbw_scc_labels`.  Label numbering is
+    implementation-defined; canonicalise with
+    :class:`repro.partition.Partition` before comparing with a reference.
     """
-    spec = backend_spec(backend)
-    if spec.streaming:
-        raise AlgorithmError(
-            f"SCC backend {backend!r} streams disk pair stores, not CSR "
-            f"arrays; use space='sublinear' (coarsen_influence_graph) or "
-            f"semi_external_scc_labels directly"
-        )
-    with span("scc_labels", backend=backend, n=int(indptr.size - 1),
-              m=int(heads.size)):
+    with span("scc_labels", n=int(indptr.size - 1), m=int(heads.size)):
         inc("scc.runs")
-        if backend == "fwbw":
-            labels, stats = fwbw_scc_labels(
-                indptr, heads, block_labels=block_labels, return_stats=True
-            )
-            if stats.frozen_vertices:
-                inc("scc.frozen_vertices", stats.frozen_vertices)
-            if stats.masked_edges:
-                inc("scc.masked_edges", stats.masked_edges)
-            return labels
-        if backend == "multi":
-            # A single CSR is a one-row batch: same kernel, same labels
-            # modulo the canonical relabelling all backends need anyway.
-            keep = np.ones((1, int(heads.size)), dtype=bool)
-            return multi_scc_labels(
-                indptr, heads, keep, block_labels=block_labels
-            )[0]
-        if backend == "tarjan":
-            return tarjan_scc_labels(indptr, heads)
-        if backend == "kosaraju":
-            return kosaraju_scc_labels(indptr, heads)
-        try:
-            return _scipy_scc_labels(indptr, heads)
-        except ImportError as exc:
-            raise AlgorithmError(
-                "scipy backend requested but scipy missing"
-            ) from exc
+        return fwbw_scc_labels(indptr, heads)

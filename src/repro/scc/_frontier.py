@@ -1,16 +1,12 @@
-"""Shared frontier machinery for the vectorised SCC kernels.
+"""Frontier machinery for the vectorised FW-BW SCC kernel.
 
-:mod:`repro.scc.fwbw` (one graph per call) and :mod:`repro.scc.multi`
-(all ``r`` live-edge rounds per call) play the same decomposition moves —
-scratch-dedup frontier BFS, trim peels, coloring rounds, bucket
-relabels — over different vertex domains.  This module holds those moves
-so the two kernels stay byte-compatible in behaviour: every helper is a
-whole-frontier numpy operation, no per-vertex Python anywhere.
+The moves :mod:`repro.scc.fwbw` plays on every round — scratch-dedup
+frontier BFS, trim peels, coloring rounds, bucket relabels — each as a
+whole-frontier numpy operation, with no per-vertex Python anywhere.
 
 All functions take the caller's ``stats`` object duck-typed on the
 counter attributes they bump (``bfs_passes``, ``trim_waves``,
-``color_passes``); :class:`repro.scc.fwbw.FwbwStats` and
-:class:`repro.scc.multi.MultiStats` both qualify.
+``color_passes``); :class:`repro.scc.fwbw.FwbwStats` qualifies.
 """
 
 from __future__ import annotations
@@ -169,7 +165,7 @@ def trim_peel(
 
     # Combined both-orientation adjacency, built once per call.  The bias
     # needs headroom for 2 * cur_n, so widen when the edge dtype is too
-    # narrow for it (the same overflow bound the callers' int32 gate uses).
+    # narrow for it (the same overflow bound the caller's int32 gate uses).
     enc_dtype = (fh.dtype if 2 * cur_n < np.iinfo(fh.dtype).max
                  else np.int64)
     cip = np.zeros(cur_n + 1, dtype=np.int64)
@@ -223,8 +219,8 @@ def color_round(
     reaches its color root is also reached by it, by color maximality).
     Returns the updated ``(n_comp, n_parts)``.
     """
-    # Trim/retirement may have decided vertices since the round's edge
-    # refresh; drop their edges before propagating.
+    # Trim may have decided vertices since the round's edge refresh; drop
+    # their edges before propagating.
     live = (part[ft] >= 0) & (part[fh] >= 0)
     ft, fh = ft[live], fh[live]
     rlive = (part[rt] >= 0) & (part[rh] >= 0)

@@ -1,5 +1,5 @@
-"""Vectorised forward–backward (FW-BW) SCC with trimming, a coloring phase
-for fragmented remainders, and optional block-restricted refinement.
+"""Vectorised forward–backward (FW-BW) SCC with trimming and a coloring phase
+for fragmented remainders.
 
 The divide-and-conquer FW-BW method (Fleischer, Hendrickson & Pinar) picks a
 pivot, computes its forward and backward reachable sets, finalises their
@@ -27,9 +27,8 @@ ideal for an array runtime because every step is a whole-frontier operation:
 The explicit work queue of the classic recursion is the ``part`` label
 array: every active part is an outstanding work item, and one pass of the
 round loop services all of them at once.  The whole-frontier primitives
-(gather, scratch dedup, trim peel, coloring round) live in the shared
-:mod:`repro.scc._frontier` module; :mod:`repro.scc.multi` drives the same
-moves over the disjoint union of all ``r`` live-edge rounds at once.
+(gather, scratch dedup, trim peel, coloring round) live in
+:mod:`repro.scc._frontier`.
 
 Pure FW-BW degenerates when a graph decomposes into *many* small SCCs (the
 reciprocal-edge clusters of social-network samples): each round only peels a
@@ -41,25 +40,6 @@ decomposition has fragmented past a threshold the kernel switches to a
 that kept its own id as a root, and resolve every root's SCC simultaneously
 with one backward BFS restricted to its color class.  Thousands of SCCs
 finalise per round instead of O(parts).
-
-Block-restricted refinement (``block_labels``)
-----------------------------------------------
-When the caller supplies the running r-robust partition, the kernel prunes
-work that cannot refine it further.  Vertices in singleton blocks are
-*frozen*: the meet can never split or merge them again, so their exact SCC
-label is irrelevant — but they are kept as path conduits, because
-reachability between two same-block vertices may legally route through
-other blocks.  (A naive edge mask ``label[tail] == label[head]`` is *not*
-sound for directed graphs for exactly that reason; see
-``docs/performance.md`` for a three-vertex counterexample.)
-
-The sound pruning rule: a part of the decomposition is **retired** as soon
-as no surviving block has two non-frozen vertices inside it.  Parts are
-reachability-closed, so an SCC can never straddle two parts — a part
-without such a pair can only produce meet-singletons, and every vertex in
-it is finalised with a fresh unique label without scanning its edges again.
-Retired-part edge counts are reported as ``masked_edges``; the per-round
-live edge working set shrinks monotonically as the partition refines.
 """
 
 from __future__ import annotations
@@ -97,15 +77,11 @@ class FwbwStats:
     color_passes: int = 0
     trim_waves: int = 0
     processed_edges: int = 0  # live edges entering each round, summed
-    masked_edges: int = 0  # live edges dropped by block-restricted retirement
-    retired_vertices: int = 0  # vertices finalised by retirement
-    frozen_vertices: int = 0  # singleton-block vertices in the restriction
 
 
 def fwbw_scc_labels(
     indptr: np.ndarray,
     heads: np.ndarray,
-    block_labels: "np.ndarray | None" = None,
     return_stats: bool = False,
 ):
     """Label every vertex of a CSR digraph with its SCC id, vectorised.
@@ -114,14 +90,6 @@ def fwbw_scc_labels(
     ----------
     indptr, heads:
         CSR adjacency of a directed graph on ``len(indptr) - 1`` vertices.
-    block_labels:
-        Optional label array of the running r-robust partition.  When given,
-        the kernel retires decomposition parts that can no longer refine any
-        non-singleton block (see the module docstring); the labels returned
-        for retired vertices are fresh singletons, which is exact for the
-        subsequent meet because every retired vertex is provably a meet
-        singleton.  **Only the meet ``block_labels ∧ result`` is meaningful
-        in this mode** — raw labels of retired vertices are arbitrary.
     return_stats:
         Also return a :class:`FwbwStats` with round/pass/work counters.
 
@@ -130,7 +98,8 @@ def fwbw_scc_labels(
     numpy.ndarray (and optionally :class:`FwbwStats`)
         ``int64`` SCC labels in ``[0, n_components)``.  Label numbering is
         implementation-defined; canonicalise via
-        :class:`repro.partition.Partition` before comparing across backends.
+        :class:`repro.partition.Partition` before comparing with a
+        reference implementation.
     """
     n = int(indptr.size) - 1
     stats = FwbwStats()
@@ -161,17 +130,6 @@ def fwbw_scc_labels(
     # fine — this is the only sort in the whole run.
     order = np.argsort(fh)
     rt, rh = fh[order], ft[order]
-
-    frozen = None
-    block_stride = 0
-    if block_labels is not None:
-        block_labels = np.ascontiguousarray(block_labels, dtype=np.int64)
-        if block_labels.size != n:
-            raise ValueError("block_labels must have one entry per vertex")
-        sizes = np.bincount(block_labels)
-        frozen = sizes[block_labels] == 1
-        block_stride = int(block_labels.max()) + 1
-        stats.frozen_vertices = int(frozen.sum())
 
     cur_n = n
     ids = None  # compact-domain vertex -> original; None = identity
@@ -206,9 +164,6 @@ def fwbw_scc_labels(
             rt, rh = old2new[rt], old2new[rh]
             ids = resolve(ids, active)
             part = part[active]
-            if frozen is not None:
-                frozen = frozen[active]
-                block_labels = block_labels[active]
             cur_n = active.size
             scratch = np.empty(cur_n, dtype=idx)
             active = np.arange(cur_n, dtype=np.int64)
@@ -226,50 +181,16 @@ def fwbw_scc_labels(
         if active.size == 0:
             break
 
-        # ---- block-restricted retirement ---------------------------------
-        # The key scan only pays for itself once frozen vertices dominate
-        # the active set — the regime where whole parts hold no splittable
-        # block and retire en masse.  Below that threshold nearly every
-        # part is still good and the scan is pure overhead, so skip it.
-        if frozen is not None and (
-            (nonfrozen := active[~frozen[active]]).size * 2 <= active.size
-        ):
-            if nonfrozen.size:
-                key = (part[nonfrozen].astype(np.int64) * block_stride
-                       + block_labels[nonfrozen])
-                uniq, counts = np.unique(key, return_counts=True)
-                good = np.unique(uniq[counts >= 2] // block_stride)
-            else:
-                good = np.empty(0, dtype=np.int64)
-            retire = active[~np.isin(part[active], good)]
-            if retire.size:
-                flag = np.zeros(cur_n, dtype=bool)
-                flag[retire] = True
-                stats.masked_edges += int((flag[ft] & (part[fh] >= 0)).sum())
-                stats.retired_vertices += int(retire.size)
-                comp[resolve(ids, retire)] = n_comp + np.arange(
-                    retire.size, dtype=np.int64
-                )
-                n_comp += retire.size
-                part[retire] = -1
-                active = np.flatnonzero(part >= 0)
-                if active.size == 0:
-                    break
-
         if n_parts >= _COLOR_PARTS or stats.rounds > _COLOR_ROUNDS:
             n_comp, n_parts = color_round(
                 cur_n, ft, fh, rt, rh, part, comp, ids, n_comp, scratch, stats
             )
             continue
 
-        # ---- pivots: one per active part, preferring non-frozen ----------
-        # Bucket writes, no sort: any representative per part will do, and
-        # non-frozen writes last so they win where available.
+        # ---- pivots: one per active part ---------------------------------
+        # Bucket writes, no sort: any representative per part will do.
         pivot_of = np.full(n_parts, -1, dtype=np.int64)
         pivot_of[part[active]] = active
-        if frozen is not None:
-            nonfrozen = active[~frozen[active]]
-            pivot_of[part[nonfrozen]] = nonfrozen
         pivots = pivot_of[pivot_of >= 0]
 
         # ---- forward/backward multi-source frontier BFS ------------------

@@ -1,8 +1,9 @@
 """Kosaraju's two-pass SCC algorithm.
 
-Kept alongside Tarjan as an independent implementation: property tests
-cross-validate the two on random graphs, and the ablation benchmark
-(``bench_ablation_scc``) compares their constants.  Iterative, O(n + m).
+A second reference implementation beside Tarjan: property tests
+cross-validate the two and the FW-BW kernel on random graphs, and the
+ablation benchmark (``bench_ablation_scc``) compares their constants.
+Iterative, O(n + m).
 """
 
 from __future__ import annotations

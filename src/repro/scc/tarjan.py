@@ -1,9 +1,10 @@
 """Iterative Tarjan strongly-connected-components (Tarjan 1972, ref. [45]).
 
-This is the in-memory SCC routine used by the linear-space implementation
-(Algorithm 1).  It runs in O(n + m) time and O(n) auxiliary space, with an
-explicit work stack instead of recursion so million-vertex graphs do not hit
-Python's recursion limit.
+The paper names Tarjan's algorithm as Algorithm 1's in-memory SCC routine;
+here it is the reference the vectorised FW-BW kernel (:mod:`repro.scc.fwbw`,
+what :func:`repro.scc.scc_labels` runs) is checked against.  It runs in
+O(n + m) time and O(n) auxiliary space, with an explicit work stack instead
+of recursion so million-vertex graphs do not hit Python's recursion limit.
 
 The function operates directly on CSR arrays rather than a graph object so it
 can be applied to sampled live-edge graphs without wrapping them.

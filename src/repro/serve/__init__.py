@@ -7,8 +7,8 @@ layer the ROADMAP's "heavy traffic" north star needs, with no dependencies
 beyond the library itself:
 
 * :class:`ModelCache` (:mod:`.cache`) — a content-addressed LRU of
-  coarsened models keyed by ``(graph digest, r, seed, scc_backend,
-  executor)``, with a byte budget and optional warm-start from
+  coarsened models keyed by ``(graph digest, r, seed, executor,
+  sampler)``, with a byte budget and optional warm-start from
   ``core.persistence`` archives;
 * :class:`SamplePool` (:mod:`.pool`) — one shared, grow-only RR-set pool
   per model that concurrent queries are coalesced onto (one pool, many

@@ -73,19 +73,16 @@ class ModelKey:
     graph_digest: str
     r: int
     seed: int
-    scc_backend: str
     executor: str
     sampler: str = "stream"
     state: str = "model"
 
     @classmethod
     def for_graph(cls, graph: InfluenceGraph, r: int, seed: int,
-                  scc_backend: str, executor: str,
-                  sampler: str = "stream") -> "ModelKey":
+                  executor: str, sampler: str = "stream") -> "ModelKey":
         """The key addressing ``graph`` coarsened under these parameters."""
         return cls(graph_digest=graph.digest(), r=int(r), seed=int(seed),
-                   scc_backend=scc_backend, executor=executor,
-                   sampler=sampler)
+                   executor=executor, sampler=sampler)
 
     def for_state(self, state: str) -> "ModelKey":
         """This key re-addressed to another derived artifact (``state``)."""
@@ -94,8 +91,7 @@ class ModelKey:
     def token(self) -> str:
         """A short filesystem-safe name for this key (warm archives)."""
         payload = "|".join([self.graph_digest, str(self.r), str(self.seed),
-                            self.scc_backend, self.executor, self.sampler,
-                            self.state])
+                            self.executor, self.sampler, self.state])
         return hashlib.blake2b(payload.encode("utf-8"),
                                digest_size=12).hexdigest()
 
@@ -105,7 +101,6 @@ class ModelKey:
             "graph_digest": self.graph_digest,
             "r": self.r,
             "seed": self.seed,
-            "scc_backend": self.scc_backend,
             "executor": self.executor,
             "sampler": self.sampler,
             "state": self.state,

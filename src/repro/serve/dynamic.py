@@ -119,8 +119,7 @@ class DynamicModel:
         self._service = service
         self._mutate_lock = threading.Lock()
         self._coarsener = DynamicCoarsener(
-            graph, r=config.r, rng=config.seed,
-            scc_backend=config.scc_backend, coins="addressable",
+            graph, r=config.r, rng=config.seed, coins="addressable"
         )
         key = service.key_for(graph)
         # Epoch-key chain, anchored at the root graph's true content

@@ -53,9 +53,9 @@ from ..core.frameworks import (
     estimate_on_coarse,
     maximize_on_coarse,
 )
+from ..core.parallel import _EXECUTORS
 from ..core.result import CoarsenResult
 from ..estimators import DEFAULT_ESTIMATOR, available_estimators
-from ..scc import DEFAULT_SCC_BACKEND
 from ..errors import AlgorithmError, BudgetExceededError
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, observe, set_gauge, span
@@ -79,8 +79,8 @@ MAX_N_SAMPLES = 100_000_000
 class ServiceConfig:
     """Knobs for one :class:`InfluenceService` instance.
 
-    Model parameters (``r``, ``seed``, ``scc_backend``, ``executor``)
-    enter the cache key — two services with the same config share warm
+    Model parameters (``r``, ``seed``, ``executor``, ``sampler``) enter
+    the cache key — two services with the same config share warm
     archives.  The serving parameters (worker/queue/deadline) do not
     affect query *values*, only latency and degradation behaviour.
     """
@@ -88,7 +88,6 @@ class ServiceConfig:
     # -- model (these are part of the cache key) -----------------------
     r: int = 16
     seed: int = 0
-    scc_backend: str = DEFAULT_SCC_BACKEND
     executor: str = "serial"
     workers: "int | None" = None
     #: Coin discipline for live-edge samples.  "stream" is Algorithm 1's
@@ -142,6 +141,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError("r must be positive")
+        if self.executor not in _EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {_EXECUTORS}, not {self.executor!r}"
+            )
+        if self.workers is not None and self.workers <= 0:
+            raise ValueError("workers must be positive when given")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.n_samples > MAX_N_SAMPLES:
@@ -295,7 +300,6 @@ class InfluenceService:
         """The cache key addressing ``graph`` under this service's config."""
         return ModelKey.for_graph(
             graph, r=self.config.r, seed=self.config.seed,
-            scc_backend=self.config.scc_backend,
             executor=self.config.executor,
             sampler=self.config.sampler,
         )
@@ -320,8 +324,7 @@ class InfluenceService:
                       r=self.config.r):
                 if self.config.sampler == "addressable":
                     model = coarsen_addressable(
-                        graph, self.config.r, seed=self.config.seed,
-                        scc_backend=self.config.scc_backend,
+                        graph, self.config.r, seed=self.config.seed
                     )
                 else:
                     model = coarsen_influence_graph(
@@ -330,7 +333,6 @@ class InfluenceService:
                         rng=ensure_rng(self.config.seed),
                         executor=self.config.executor,
                         workers=self.config.workers,
-                        scc_backend=self.config.scc_backend,
                     )
             self.cache.put(key, model)
             return model
@@ -879,7 +881,6 @@ class InfluenceService:
             "config": {
                 "r": self.config.r,
                 "seed": self.config.seed,
-                "scc_backend": self.config.scc_backend,
                 "executor": self.config.executor,
                 "sampler": self.config.sampler,
                 "estimator": self.config.estimator,

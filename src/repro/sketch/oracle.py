@@ -25,9 +25,9 @@ the bottom-k of a seed set is the k smallest distinct-item ranks across
 its members' sketches, so seed-set queries never touch the graph.
 
 Construction amortises the ``r`` rounds through one flat domain — vertex
-``v`` of round ``i`` is ``i * n + v``, exactly the disjoint-union idiom of
-:mod:`repro.scc.multi` — and a single row-major ``np.nonzero`` of the
-``(r, m)`` keep matrix yields the union's reverse CSR with one argsort.
+``v`` of round ``i`` is ``i * n + v``, the disjoint union of all rounds —
+and a single row-major ``np.nonzero`` of the ``(r, m)`` keep matrix yields
+the union's reverse CSR with one argsort.
 Items are then taken in ascending rank order in *blocks* whose widths
 double from 1 up to :data:`SKETCH_BLOCK_CAP`, and each block runs one
 multi-source pruned reverse BFS over ``(copy, slot)`` pair keys,
@@ -149,10 +149,9 @@ def _union_reverse_csr(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Reverse CSR of the disjoint union of all masked copies.
 
-    Flat vertex ``i * n + v`` is vertex ``v`` of round ``i`` (the
-    :mod:`repro.scc.multi` domain).  The row-major ``np.nonzero`` yields
-    the kept edges already sorted by round, and one stable argsort by
-    head builds the reversed adjacency.
+    Flat vertex ``i * n + v`` is vertex ``v`` of round ``i``.  The
+    row-major ``np.nonzero`` yields the kept edges already sorted by
+    round, and one stable argsort by head builds the reversed adjacency.
     """
     n = graph.n
     rounds, edges = np.nonzero(keep)

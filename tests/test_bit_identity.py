@@ -1,6 +1,7 @@
-"""Bit-identity pins for pooled RIS and the BFS frontier loops.
+"""Bit-identity pins for pooled RIS, the BFS frontier loops and coarsening.
 
-The digests were recorded at commit fe55c07 and must hold exactly: a
+The pooled-RIS and frontier digests were recorded at commit fe55c07 and must
+hold exactly: a
 ``SamplePool``'s first 300 sets and its ``examined_edges``, the greedy seeds
 on that pool, ``reachable_mask``, ``simulate_ic``, ``simulate_lt_once`` and
 SPINE's cascades.  Each BFS frontier's order fixes the order of coin flips
@@ -8,18 +9,30 @@ in its random stream, so any change to frontier order, not just to frontier
 contents, breaks a pin.  The coverage index is checked against a reference
 built with a stable argsort, and both maximizer paths (the pool's own index
 and a prefix index) must pick the same seeds.
+
+The coarsening digests (:class:`TestCoarseningPins`) were recorded at commit
+3bce825, while the r-robust fold still passed the running partition to the
+SCC kernel as a block restriction.  They pin the partition labels, ``pi``
+and the coarse graph's digest of Algorithm 1, Algorithm 6 (thread and
+process executors), Algorithm 2, the addressable cold rebuild, a
+:class:`DynamicCoarsener` after a mixed insert/delete batch, and the
+refinement chain.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import coarsen_influence_graph
 from repro.baselines.spine import generate_cascades
+from repro.core import robust_scc_refinement_sequence
+from repro.core.dynamic import Delta, DynamicCoarsener, coarsen_addressable
 from repro.datasets.generators import powerlaw_social_graph
 from repro.datasets.probabilities import (
     assign_trivalency,
@@ -34,7 +47,9 @@ from repro.diffusion import (
 from repro.diffusion.reachability import sorted_distinct
 from repro.diffusion.rr_sets import _inverted_set_ids
 from repro.errors import AlgorithmError
+from repro.graph import InfluenceGraph
 from repro.serve.pool import PoolMaximizer, SamplePool
+from repro.storage import TripletStore
 
 from .conftest import random_graph
 
@@ -193,3 +208,111 @@ class TestPoolMaximizerReuse:
         assert np.array_equal(a.seeds, direct_seeds)
         assert a.extras["covered"] == b.extras["covered"] == direct_covered
         assert a.estimated_influence == b.estimated_influence
+
+
+def _mixed_graph(n: int, m: int, seed: int) -> InfluenceGraph:
+    """Skewed out-degrees plus a reciprocal slab; half the edges are near
+    certain (p in [0.8, 1)) and half weak (p in [0.05, 0.35]).
+
+    The strong half keeps robust blocks alive through every round, so the
+    fold never reaches the all-singletons partition early; the weak half
+    splits blocks round by round.
+    """
+    rng = np.random.default_rng(seed)
+    tails = (n * rng.random(m) ** 2).astype(np.int64)
+    heads = rng.integers(0, n, m)
+    k = m // 10
+    tails = np.concatenate([tails, heads[:k]])
+    heads = np.concatenate([heads, tails[:k]])
+    key = np.unique(tails * n + heads)
+    tails, heads = key // n, key % n
+    keep = tails != heads
+    tails, heads = tails[keep], heads[keep]
+    probs = np.where(rng.random(tails.size) < 0.5,
+                     rng.uniform(0.8, 1.0, tails.size),
+                     rng.uniform(0.05, 0.35, tails.size))
+    return InfluenceGraph.from_edges(n, tails, heads, probs)
+
+
+@pytest.fixture(scope="module")
+def mixed_graph():
+    graph = _mixed_graph(3000, 9000, seed=2)
+    assert graph.digest() == "e8751d6e4519ca40dac60dbed3be5568"
+    return graph
+
+
+def _mixed_batch(graph) -> "list[Delta]":
+    """40 deletions of present edges interleaved with 40 fresh inserts."""
+    rng = np.random.default_rng(3)
+    tails, heads, _ = graph.edge_arrays()
+    deletes = [Delta("delete", int(tails[i]), int(heads[i]))
+               for i in rng.choice(graph.m, 40, replace=False)]
+    present = set(zip(tails.tolist(), heads.tolist()))
+    inserts: "list[Delta]" = []
+    while len(inserts) < 40:
+        u, v = (int(x) for x in rng.integers(0, graph.n, 2))
+        if u != v and (u, v) not in present:
+            present.add((u, v))
+            inserts.append(Delta("insert", u, v, float(rng.uniform(0.2, 0.9))))
+    return [d for pair in zip(deletes, inserts) for d in pair]
+
+
+def _coarsening_digests(result) -> "tuple[int, str, str, str]":
+    return (result.partition.n_blocks, _digest([result.partition.labels]),
+            _digest([result.pi]), result.coarse.digest())
+
+
+class TestCoarseningPins:
+    def test_algorithm_1(self, mixed_graph):
+        result = coarsen_influence_graph(mixed_graph, 12, rng=5)
+        assert _coarsening_digests(result) == (
+            2579, "afe660d1283bcfa3df8bbf07b889548a",
+            "afe660d1283bcfa3df8bbf07b889548a",
+            "0d7d15370619e281aa02bd66788fa338")
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_algorithm_6(self, mixed_graph, executor):
+        result = coarsen_influence_graph(mixed_graph, 12, rng=5,
+                                         executor=executor, workers=3)
+        assert _coarsening_digests(result) == (
+            2570, "3a3e846fb709346e5de22b1c5d752c8c",
+            "3a3e846fb709346e5de22b1c5d752c8c",
+            "ac8bd4c3f196649c2490c8d660d44872")
+
+    def test_algorithm_2(self, mixed_graph, tmp_path):
+        source = TripletStore.from_graph(mixed_graph,
+                                         os.fspath(tmp_path / "g.trip"))
+        result = coarsen_influence_graph(
+            source, 12, rng=5, space="sublinear",
+            out_path=os.fspath(tmp_path / "h.trip")).load()
+        assert _coarsening_digests(result) == (
+            2579, "afe660d1283bcfa3df8bbf07b889548a",
+            "afe660d1283bcfa3df8bbf07b889548a",
+            "3606e14ffd3dfb7474659bd2b3190516")
+
+    def test_coarsen_addressable(self, mixed_graph):
+        result = coarsen_addressable(mixed_graph, 12, seed=5)
+        assert _coarsening_digests(result) == (
+            2586, "987a67b4f4c6ffc27e6244ee74d692d9",
+            "987a67b4f4c6ffc27e6244ee74d692d9",
+            "6842347800e0e97b11addef3ce544602")
+
+    @pytest.mark.parametrize("coins, expected", [
+        ("stream", (2581, "acdd6fe60d03de0f230a0b0343f66928",
+                    "acdd6fe60d03de0f230a0b0343f66928",
+                    "66df455e1670b27b6ee2578988c920b2")),
+        ("addressable", (2579, "f11ff4ba91fbc6e79fa22ce6336e4ff6",
+                         "f11ff4ba91fbc6e79fa22ce6336e4ff6",
+                         "b5eb371b22e66adab54a21f74bb43f78")),
+    ])
+    def test_dynamic_after_mixed_batch(self, mixed_graph, coins, expected):
+        dyn = DynamicCoarsener(mixed_graph, r=12, rng=5, coins=coins)
+        dyn.apply_deltas(_mixed_batch(mixed_graph))
+        assert _coarsening_digests(dyn.snapshot()) == expected
+
+    def test_refinement_sequence(self, mixed_graph):
+        chain = robust_scc_refinement_sequence(mixed_graph, 8, rng=5)
+        assert [p.n_blocks for p in chain] == [
+            1622, 1972, 2130, 2238, 2330, 2403, 2443, 2471]
+        assert _digest([p.labels for p in chain]) == (
+            "2f1668e40c7a27788fac594c4f172c5f")

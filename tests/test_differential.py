@@ -1,12 +1,12 @@
 """Differential determinism: one seed, one answer, across implementations.
 
-The repo carries several interchangeable components — SCC backends
-(``tarjan`` / ``kosaraju``) and two coarsening algorithms (Algorithm 1
-in-memory, Algorithm 2 disk-streaming).  All of them consume the same
-live-edge sample stream, so with a fixed seed they must produce *identical*
-partitions and *identical* coarse edge weights ``q`` — not merely
-statistically close ones.  Any divergence means a backend reordered or
-re-drew randomness, which would silently invalidate every cross-backend
+The library's fold is checked against folds of the reference SCC routines
+(``tarjan`` / ``kosaraju``), and two coarsening algorithms (Algorithm 1
+in-memory, Algorithm 2 disk-streaming) against each other.  All of them
+consume the same live-edge sample stream, so with a fixed seed they must
+produce *identical* partitions and *identical* coarse edge weights ``q`` —
+not merely statistically close ones.  Any divergence means a path reordered
+or re-drew randomness, which would silently invalidate every cross-path
 comparison in the benchmarks.
 """
 
@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import coarsen_influence_graph
+from repro.core import coarsen, coarsen_influence_graph
+from repro.scc import kosaraju_scc_labels, tarjan_scc_labels
 from repro.storage import TripletStore
 
 from .conftest import random_graph
+from .references import reference_fold
 
 SEEDS = (0, 7, 123)
 
@@ -41,17 +43,14 @@ class TestSccBackends:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tarjan_kosaraju_identical(self, seed):
         graph = random_graph(n=80, m=400, seed=seed, p_low=0.05, p_high=0.9)
-        results = {
-            backend: coarsen_influence_graph(
-                graph, r=6, rng=seed, scc_backend=backend
-            )
-            for backend in ("tarjan", "kosaraju")
-        }
-        tarjan, kosaraju = results["tarjan"], results["kosaraju"]
-        assert np.array_equal(tarjan.pi, kosaraju.pi)
-        assert tarjan.partition == kosaraju.partition
-        assert_same_q(q_weight_map(tarjan.coarse), q_weight_map(kosaraju.coarse))
-        assert np.array_equal(tarjan.coarse.weights, kosaraju.coarse.weights)
+        result = coarsen_influence_graph(graph, r=6, rng=seed)
+        for scc in (tarjan_scc_labels, kosaraju_scc_labels):
+            partition = reference_fold(graph, 6, rng=seed, scc=scc)
+            coarse, pi = coarsen(graph, partition)
+            assert np.array_equal(result.pi, pi)
+            assert result.partition == partition
+            assert_same_q(q_weight_map(result.coarse), q_weight_map(coarse))
+            assert np.array_equal(result.coarse.weights, coarse.weights)
 
 
 class TestAlgorithm1VsAlgorithm2:

@@ -1,20 +1,18 @@
-"""Tests for the vectorised FW-BW SCC kernel (`scc/fwbw.py`) and the
-block-restricted refinement mode it enables.
+"""Tests for the vectorised FW-BW SCC kernel (`scc/fwbw.py`).
 
-Three layers of evidence:
+Two layers of evidence:
 
 * differential — fwbw must produce the identical canonical partition as the
-  reference backends on fixed-seed random graphs, including shapes chosen to
-  force every internal path (trim cascades, deep decomposition, the
-  coloring phase, domain compaction, the int32 index domain);
+  reference implementations on fixed-seed random graphs, including shapes
+  chosen to force every internal path (trim cascades, deep decomposition,
+  the coloring phase, domain compaction, the int32 index domain);
 * property-based — on arbitrary small digraphs, the fwbw labels must be
   exactly the mutual-reachability equivalence classes (checked against an
   independently computed boolean transitive closure, not another SCC
-  implementation);
-* refinement regression — the block-restricted mode must fold to the same
-  r-robust partition as full recomputation (the restriction is exact, not a
-  heuristic), while masking a nonzero amount of per-round work once the
-  running meet accumulates singletons.
+  implementation).
+
+The r-robust fold is checked against a reference fold in
+``test_robust_scc.py``.
 """
 
 from __future__ import annotations
@@ -24,17 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.core import robust_scc_partition
 from repro.diffusion import sample_live_edge_csr
-from repro.errors import AlgorithmError
 from repro.partition import Partition
-from repro.scc import scc_labels
+from repro.scc import scc_labels, tarjan_scc_labels
 from repro.scc.fwbw import FwbwStats, fwbw_scc_labels
 
 from .conftest import random_graph
-
-REFERENCE_BACKENDS = ("tarjan", "kosaraju", "scipy")
+from .references import REFERENCE_SCC, meet_labels_hash, scipy_scc_labels
 
 
 def csr(n, tails, heads):
@@ -62,17 +56,16 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_references_on_random_graphs(self, seed):
         g = random_graph(60, 200, seed=seed)
-        ours = Partition(scc_labels(g.indptr, g.heads, backend="fwbw"))
-        for backend in REFERENCE_BACKENDS:
-            ref = Partition(scc_labels(g.indptr, g.heads, backend=backend))
-            assert ours == ref, backend
+        ours = Partition(scc_labels(g.indptr, g.heads))
+        for name, reference in REFERENCE_SCC.items():
+            assert ours == Partition(reference(g.indptr, g.heads)), name
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_on_live_edge_samples(self, seed):
         g = random_graph(300, 1500, seed=40 + seed)
         indptr, heads = sample_live_edge_csr(g, rng=seed)
-        ours = Partition(scc_labels(indptr, heads, backend="fwbw"))
-        ref = Partition(scc_labels(indptr, heads, backend="tarjan"))
+        ours = Partition(scc_labels(indptr, heads))
+        ref = Partition(tarjan_scc_labels(indptr, heads))
         assert ours == ref
 
     @pytest.mark.parametrize("seed", range(6))
@@ -89,8 +82,8 @@ class TestDifferential:
         heads = np.concatenate([h, t])
         uniq = np.unique(tails * n + heads)
         indptr, heads = csr(n, uniq // n, uniq % n)
-        ours = Partition(scc_labels(indptr, heads, backend="fwbw"))
-        ref = Partition(scc_labels(indptr, heads, backend="tarjan"))
+        ours = Partition(scc_labels(indptr, heads))
+        ref = Partition(tarjan_scc_labels(indptr, heads))
         assert ours == ref
 
     def test_deep_chain_forces_trim_cascade(self):
@@ -98,7 +91,7 @@ class TestDifferential:
         tails = np.arange(n - 1)
         heads = np.arange(1, n)
         indptr, heads = csr(n, tails, heads)
-        labels = scc_labels(indptr, heads, backend="fwbw")
+        labels = scc_labels(indptr, heads)
         assert len(set(labels.tolist())) == n
 
     def test_long_cycle_single_component(self):
@@ -106,13 +99,13 @@ class TestDifferential:
         tails = np.arange(n)
         heads = (np.arange(n) + 1) % n
         indptr, heads = csr(n, tails, heads)
-        assert set(scc_labels(indptr, heads, backend="fwbw").tolist()) == {0}
+        assert set(scc_labels(indptr, heads).tolist()) == {0}
 
     def test_large_graph_int32_domain(self):
         # Past the size gate the kernel runs on int32 indices; same answer.
         g = random_graph(40_000, 240_000, seed=7)
-        ours = Partition(scc_labels(g.indptr, g.heads, backend="fwbw"))
-        ref = Partition(scc_labels(g.indptr, g.heads, backend="scipy"))
+        ours = Partition(scc_labels(g.indptr, g.heads))
+        ref = Partition(scipy_scc_labels(g.indptr, g.heads))
         assert ours == ref
 
     def test_stats_shape(self):
@@ -121,7 +114,6 @@ class TestDifferential:
         assert isinstance(stats, FwbwStats)
         assert stats.rounds >= 1
         assert stats.processed_edges > 0
-        assert stats.masked_edges == 0  # no blocks given, nothing to mask
         assert labels.size == g.n
 
 
@@ -160,85 +152,6 @@ class TestProperty:
         assert len(set(labels.tolist())) == 5
 
 
-class TestRefinement:
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("r", [3, 8])
-    def test_refined_fold_matches_full_recomputation(self, seed, r):
-        g = random_graph(80, 320, seed=seed, p_low=0.1, p_high=0.6)
-        refined = robust_scc_partition(g, r, rng=seed, scc_backend="fwbw",
-                                       refine=True)
-        full = robust_scc_partition(g, r, rng=seed, scc_backend="fwbw",
-                                    refine=False)
-        tarjan = robust_scc_partition(g, r, rng=seed, scc_backend="tarjan")
-        assert refined == full == tarjan
-
-    def test_block_labels_exactness_on_adversarial_conduits(self):
-        # The counterexample from docs/performance.md: u, v share a block, w
-        # is a frozen singleton, and the only sample cycle through u and v
-        # runs via w.  A naive same-block edge mask would split {u, v}; the
-        # retirement rule must keep them together.
-        u, w, v = 0, 1, 2
-        indptr, heads = csr(3, [u, w, v], [w, v, u])
-        blocks = np.array([0, 1, 0], dtype=np.int64)  # w is a singleton
-        labels = fwbw_scc_labels(indptr, heads, block_labels=blocks)
-        meet = Partition(labels).meet(Partition(blocks))
-        assert meet.labels[u] == meet.labels[v]
-
-    def test_frozen_only_input_short_circuits(self):
-        # Every vertex a singleton block: labels are irrelevant to the meet,
-        # so the kernel may retire everything; the result must still be a
-        # partition whose meet with the blocks is all singletons.
-        g = random_graph(50, 200, seed=11)
-        blocks = np.arange(g.n, dtype=np.int64)
-        labels, stats = fwbw_scc_labels(g.indptr, g.heads,
-                                        block_labels=blocks,
-                                        return_stats=True)
-        meet = Partition(labels).meet(Partition(blocks))
-        assert meet.n_blocks == g.n
-        assert stats.frozen_vertices == g.n
-
-    def test_masked_edges_reduce_processed_work(self):
-        # Fold identical samples with and without the block restriction:
-        # the restricted fold must process strictly fewer edges in total
-        # and report the difference through masked_edges.
-        g = random_graph(600, 3000, seed=5, p_low=0.05, p_high=0.4)
-        rng = np.random.default_rng(0)
-        samples = [sample_live_edge_csr(g, rng) for _ in range(10)]
-        totals = {}
-        for use_blocks in (True, False):
-            partition = Partition.trivial(g.n)
-            processed = masked = 0
-            for i, (indptr, heads) in enumerate(samples):
-                blocks = partition.labels if use_blocks and i else None
-                labels, stats = fwbw_scc_labels(indptr, heads,
-                                                block_labels=blocks,
-                                                return_stats=True)
-                processed += stats.processed_edges
-                masked += stats.masked_edges
-                partition = partition.meet(
-                    Partition(labels, canonical=False))
-            totals[use_blocks] = (processed, masked, partition)
-        assert totals[True][2] == totals[False][2]
-        assert totals[True][1] > 0  # refinement masked real work...
-        assert totals[True][0] < totals[False][0]  # ...and processed less
-        assert totals[False][1] == 0
-
-    def test_counters_flow_through_obs(self):
-        g = random_graph(600, 3000, seed=5, p_low=0.05, p_high=0.4)
-        registry = obs.MetricsRegistry()
-        with obs.use_metrics(registry):
-            robust_scc_partition(g, 10, rng=0, scc_backend="fwbw",
-                                 refine=True)
-        assert registry.counter("scc.frozen_vertices") > 0
-        assert registry.counter("scc.masked_edges") > 0
-
-    def test_refine_requires_fwbw(self):
-        g = random_graph(20, 60, seed=0)
-        with pytest.raises(AlgorithmError, match="refine"):
-            robust_scc_partition(g, 2, rng=0, scc_backend="tarjan",
-                                 refine=True)
-
-
 class TestMeetFastPaths:
     def test_trivial_meet_returns_other(self):
         q = Partition(np.array([0, 1, 0, 2], dtype=np.int64))
@@ -256,7 +169,8 @@ class TestMeetFastPaths:
         rng = np.random.default_rng(0)
         q = Partition(rng.integers(0, 5, 30).astype(np.int64))
         for special in (Partition.trivial(30), Partition.singletons(30)):
-            assert special.meet(q) == q.meet(special, method="hash")
+            reference = meet_labels_hash(q.labels, special.labels)
+            assert special.meet(q) == Partition(reference)
 
     def test_mismatched_sizes_still_raise(self):
         from repro.errors import PartitionError

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.partition import Partition, meet_labels, meet_labels_hash
+from repro.partition import Partition, meet_labels
+
+from .references import meet_labels_hash
 
 
 class TestConstruction:
@@ -116,14 +118,10 @@ class TestMeet:
         with pytest.raises(PartitionError):
             Partition.trivial(3).meet(Partition.trivial(4))
 
-    def test_unknown_method(self):
-        with pytest.raises(PartitionError):
-            Partition.trivial(3).meet(Partition.trivial(3), method="bogus")
-
     def test_hash_method_through_partition(self):
         a = Partition(np.array([0, 0, 1, 1]))
         b = Partition(np.array([0, 1, 0, 1]))
-        assert a.meet(b, method="hash") == a.meet(b, method="numpy")
+        assert a.meet(b) == Partition(meet_labels_hash(a.labels, b.labels))
 
 
 class TestRefinement:

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import robust_scc_partition, robust_scc_refinement_sequence
+from repro import coarsen_influence_graph
+from repro.core import (
+    DynamicCoarsener,
+    coarsen_addressable,
+    robust_scc_partition,
+    robust_scc_refinement_sequence,
+)
 from repro.diffusion import reachable_mask
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, ReproError
 from repro.partition import Partition
+from repro.scc import kosaraju_scc_labels
+from repro.storage import TripletStore
 
 from .conftest import build_graph, random_graph
+from .references import reference_fold
 
 
 class TestBasics:
@@ -44,6 +53,57 @@ class TestBasics:
         g = build_graph(5, [(0, 1, 0.5)])
         p = robust_scc_partition(g, 3, rng=0)
         assert p.n_blocks == 5
+
+
+class TestNegativeR:
+    """Every coarsening entry point rejects ``r < 0`` with a typed error."""
+
+    @pytest.mark.parametrize("entry", [
+        "robust_scc_partition",
+        "robust_scc_refinement_sequence",
+        "algorithm_1",
+        "algorithm_6",
+        "algorithm_2",
+        "coarsen_addressable",
+        "dynamic_coarsener",
+    ])
+    @pytest.mark.parametrize("r", [-1, -2])
+    def test_raises_repro_error(self, entry, r, tmp_path):
+        g = random_graph(20, 60, seed=0)
+        calls = {
+            "robust_scc_partition": lambda: robust_scc_partition(g, r, rng=0),
+            "robust_scc_refinement_sequence":
+                lambda: robust_scc_refinement_sequence(g, r, rng=0),
+            "algorithm_1": lambda: coarsen_influence_graph(g, r, rng=0),
+            "algorithm_6": lambda: coarsen_influence_graph(g, r, rng=0,
+                                                           workers=2),
+            "algorithm_2": lambda: coarsen_influence_graph(
+                TripletStore.from_graph(g, str(tmp_path / "g.trip")), r,
+                rng=0, space="sublinear", out_path=str(tmp_path / "h.trip")),
+            "coarsen_addressable": lambda: coarsen_addressable(g, r, seed=0),
+            "dynamic_coarsener": lambda: DynamicCoarsener(g, r=r, rng=0),
+        }
+        with pytest.raises(ReproError, match="r must be non-negative"):
+            calls[entry]()
+
+
+class TestReferenceFold:
+    """The fold equals a fold of reference SCCs over the same samples."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("r", [3, 8])
+    def test_fold_matches_tarjan_reference(self, seed, r):
+        g = random_graph(80, 320, seed=seed, p_low=0.1, p_high=0.6)
+        assert (robust_scc_partition(g, r, rng=seed)
+                == reference_fold(g, r, rng=seed))
+
+    def test_fold_matches_kosaraju_reference_past_finest(self):
+        # Weak edges drive the fold to all singletons early; the library
+        # stops there, the reference folds every round.
+        g = random_graph(200, 800, seed=4, p_low=0.05, p_high=0.3)
+        fold = robust_scc_partition(g, 12, rng=1)
+        assert fold.n_blocks == g.n
+        assert fold == reference_fold(g, 12, rng=1, scc=kosaraju_scc_labels)
 
 
 class TestDefinition:

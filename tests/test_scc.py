@@ -1,9 +1,8 @@
-"""Tests for the three SCC implementations, including cross-validation."""
+"""Tests for the SCC kernel and its references, including cross-validation."""
 
 import numpy as np
 import pytest
 
-from repro.errors import AlgorithmError
 from repro.partition import Partition
 from repro.scc import (
     kosaraju_scc_labels,
@@ -14,6 +13,7 @@ from repro.scc import (
 from repro.storage import PairStore
 
 from .conftest import random_graph
+from .references import REFERENCE_SCC
 
 
 def csr(n, edges):
@@ -27,44 +27,45 @@ def csr(n, edges):
     return indptr, heads
 
 
-BACKENDS = ["fwbw", "tarjan", "kosaraju", "scipy"]
+#: The library kernel first, then every reference, by name.
+BACKENDS = {"fwbw": scc_labels, **REFERENCE_SCC}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(BACKENDS))
 class TestKnownGraphs:
     def test_single_cycle(self, backend):
         indptr, heads = csr(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        labels = scc_labels(indptr, heads, backend=backend)
+        labels = BACKENDS[backend](indptr, heads)
         assert len(set(labels.tolist())) == 1
 
     def test_chain_is_all_singletons(self, backend):
         indptr, heads = csr(4, [(0, 1), (1, 2), (2, 3)])
-        labels = scc_labels(indptr, heads, backend=backend)
+        labels = BACKENDS[backend](indptr, heads)
         assert len(set(labels.tolist())) == 4
 
     def test_two_cycles_with_bridge(self, backend):
         edges = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)]
         indptr, heads = csr(4, edges)
-        labels = scc_labels(indptr, heads, backend=backend)
+        labels = BACKENDS[backend](indptr, heads)
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
     def test_empty_graph(self, backend):
         indptr, heads = csr(5, [])
-        labels = scc_labels(indptr, heads, backend=backend)
+        labels = BACKENDS[backend](indptr, heads)
         assert len(set(labels.tolist())) == 5
 
     def test_no_vertices(self, backend):
         indptr, heads = csr(0, [])
-        labels = scc_labels(indptr, heads, backend=backend)
+        labels = BACKENDS[backend](indptr, heads)
         assert labels.size == 0
 
     def test_figure3_style_nested_components(self, backend):
         # triangle {0,1,2} reaching a 2-cycle {3,4}, plus isolated 5
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]
         indptr, heads = csr(6, edges)
-        p = Partition(scc_labels(indptr, heads, backend=backend))
+        p = Partition(BACKENDS[backend](indptr, heads))
         sizes = sorted(p.block_sizes().tolist())
         assert sizes == [1, 2, 3]
 
@@ -73,9 +74,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("seed", range(12))
     def test_all_backends_agree_on_random_graphs(self, seed):
         g = random_graph(40, 120, seed=seed)
-        parts = [
-            Partition(scc_labels(g.indptr, g.heads, backend=b)) for b in BACKENDS
-        ]
+        parts = [Partition(fn(g.indptr, g.heads)) for fn in BACKENDS.values()]
         assert all(p == parts[0] for p in parts[1:])
 
     def test_deep_chain_no_recursion_error(self):
@@ -91,11 +90,6 @@ class TestCrossValidation:
         edges = [(i, (i + 1) % n) for i in range(n)]
         indptr, heads = csr(n, edges)
         assert set(kosaraju_scc_labels(indptr, heads).tolist()) == {0}
-
-    def test_unknown_backend_raises(self):
-        indptr, heads = csr(2, [(0, 1)])
-        with pytest.raises(AlgorithmError, match="unknown"):
-            scc_labels(indptr, heads, backend="bogus")
 
 
 class TestSemiExternal:

@@ -33,8 +33,7 @@ from .conftest import build_graph, random_graph
 
 
 def make_key(tag: str = "a", r: int = 4) -> ModelKey:
-    return ModelKey(graph_digest=tag, r=r, seed=0,
-                    scc_backend="fwbw", executor="serial")
+    return ModelKey(graph_digest=tag, r=r, seed=0, executor="serial")
 
 
 @pytest.fixture
@@ -50,22 +49,41 @@ def model(graph):
 class TestModelKey:
     def test_content_addressing(self, graph):
         g2 = random_graph(120, 500, seed=3)  # same content, new object
-        a = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
-        b = ModelKey.for_graph(g2, 4, 0, "fwbw", "serial")
+        a = ModelKey.for_graph(graph, 4, 0, "serial")
+        b = ModelKey.for_graph(g2, 4, 0, "serial")
         assert a == b
         assert a.token() == b.token()
 
     def test_any_parameter_changes_the_key(self, graph):
-        base = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
-        assert ModelKey.for_graph(graph, 5, 0, "fwbw", "serial") != base
-        assert ModelKey.for_graph(graph, 4, 1, "fwbw", "serial") != base
-        assert ModelKey.for_graph(graph, 4, 0, "tarjan", "serial") != base
+        base = ModelKey.for_graph(graph, 4, 0, "serial")
+        assert ModelKey.for_graph(graph, 5, 0, "serial") != base
+        assert ModelKey.for_graph(graph, 4, 1, "serial") != base
+        assert ModelKey.for_graph(graph, 4, 0, "thread") != base
+        assert ModelKey.for_graph(graph, 4, 0, "serial",
+                                  sampler="addressable") != base
         other = random_graph(120, 500, seed=4)
-        assert ModelKey.for_graph(other, 4, 0, "fwbw", "serial") != base
+        assert ModelKey.for_graph(other, 4, 0, "serial") != base
 
     def test_digest_is_cached_and_stable(self, graph):
         assert graph.digest() == graph.digest()
         assert graph.digest() is graph.digest()  # cached string
+
+
+class TestServiceConfigValidation:
+    @pytest.mark.parametrize("executor", ["bogus", "Thread", ""])
+    def test_rejects_unknown_executor(self, executor):
+        with pytest.raises(ValueError, match="executor must be one of"):
+            ServiceConfig(executor=executor)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_non_positive_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            ServiceConfig(workers=workers)
+
+    def test_accepts_every_executor_and_positive_workers(self):
+        for executor in ("serial", "thread", "process"):
+            assert ServiceConfig(executor=executor, workers=2).workers == 2
+        assert ServiceConfig().workers is None
 
 
 class TestModelCache:
@@ -109,7 +127,7 @@ class TestModelCache:
     def test_warm_start_round_trip(self, tmp_path, graph, model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "serial")
         path = a.store_warm(key, model)
         assert path is not None
         # A fresh cache (fresh process, conceptually) warm-loads it.
@@ -123,7 +141,7 @@ class TestModelCache:
                                                     model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "serial")
         path = a.store_warm(key, model)
         other = make_key("forged", r=9)
         (warm / (other.token() + ".npz")).write_bytes(
@@ -135,7 +153,7 @@ class TestModelCache:
     def test_corrupt_warm_archive_degrades_to_miss(self, tmp_path, graph):
         warm = tmp_path / "warm"
         warm.mkdir()
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "serial")
         (warm / (key.token() + ".npz")).write_bytes(b"not an archive")
         cache = ModelCache(max_models=2, warm_dir=warm)
         assert cache.get(key) is None
