@@ -34,6 +34,18 @@ __all__ = ["coarsen_influence_graph"]
 _SPACES = ("linear", "sublinear")
 
 
+def algorithm6_workers(executor: str = "serial",
+                       workers: "int | None" = None) -> "int | None":
+    """The worker count :func:`coarsen_influence_graph` hands Algorithm 6.
+
+    ``None`` means the facade runs Algorithm 1: ``workers`` or a
+    non-serial executor selects Algorithm 6, with 4 workers by default.
+    """
+    if executor == "serial" and workers is None:
+        return None
+    return 4 if workers is None else workers
+
+
 def coarsen_influence_graph(
     graph: "InfluenceGraph | TripletStore",
     r: int = 16,
@@ -132,7 +144,8 @@ def coarsen_influence_graph(
         raise CoarseningError(
             "keep_sample_stores= applies to space='sublinear' only"
         )
-    if executor == "serial" and workers is None:
+    n_workers = algorithm6_workers(executor, workers)
+    if n_workers is None:
         return _coarsen_linear(graph, r=r, rng=rng, validate=validate)
     if validate:
         raise CoarseningError(
@@ -141,7 +154,7 @@ def coarsen_influence_graph(
     return _coarsen_parallel(
         graph,
         r=r,
-        workers=4 if workers is None else workers,
+        workers=n_workers,
         rng=rng,
         executor=executor,
     )

@@ -62,18 +62,14 @@ __all__ = [
 class EstimatorSpec:
     """One registered estimator family and its capabilities.
 
-    ``pooled`` marks families the serving layer answers from shared
-    grow-only RR pools (:mod:`repro.serve.pool`); ``oracle`` marks
-    families with precomputed per-graph read state (cached and rebuilt
-    per epoch by the serving layer); ``serveable`` marks families
-    ``ServiceConfig(estimator=...)`` accepts; ``models`` lists the
-    diffusion models the family supports.
+    ``serveable`` marks families ``ServiceConfig(estimator=...)`` accepts
+    (the service keeps each one's per-model read state, see
+    :mod:`repro.serve.service`); ``models`` lists the diffusion models
+    the family supports.
     """
 
     name: str
     summary: str
-    pooled: bool = False
-    oracle: bool = False
     serveable: bool = False
     models: "tuple[str, ...]" = ("ic",)
 
@@ -89,7 +85,6 @@ _REGISTRY: "dict[str, EstimatorSpec]" = {
         EstimatorSpec(
             "ris",
             "reverse-reachable sketch estimator (pooled default)",
-            pooled=True,
             serveable=True,
             models=("ic", "lt"),
         ),
@@ -101,7 +96,6 @@ _REGISTRY: "dict[str, EstimatorSpec]" = {
         EstimatorSpec(
             "sketch",
             "bottom-k combined reachability oracle (O(1) point queries)",
-            oracle=True,
             serveable=True,
         ),
     )

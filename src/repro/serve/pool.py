@@ -52,7 +52,36 @@ __all__ = ["SamplePool", "PoolMaximizer"]
 DEFAULT_CHUNK_SETS = 256
 
 
-class SamplePool:
+class PooledRead:
+    """The service's read protocol (:mod:`repro.serve.service`) over a
+    grow-only RR pool.
+
+    Shared by the in-process :class:`SamplePool` and the fleet-backed
+    :class:`~repro.serve.shard.ShardPool`, which provide ``ensure``,
+    ``estimator``, ``size`` and ``graph``.
+    """
+
+    family = "ris"
+
+    def read(self, requested: int, floor: int,
+             deadline: "float | None") -> tuple:
+        """One query's ``(estimator, achieved, requested, report, extras)``.
+
+        The floor is grown without a deadline so a query can always
+        return *something* statistically meaningful.  A pool has no
+        standing report: the service states one for a query the deadline
+        degraded.
+        """
+        self.ensure(floor)
+        achieved = self.ensure(requested, deadline=deadline)
+        return (self.estimator(achieved), achieved, requested, None,
+                {"pool_size": self.size})
+
+    def bind(self, graph: InfluenceGraph, model) -> None:
+        """A pool depends on the coarse graph only: nothing to restate."""
+
+
+class SamplePool(PooledRead):
     """A grow-only RR-set pool over one (coarse) graph.
 
     Parameters

@@ -28,6 +28,19 @@ goes:
    seed mapping.  A broken fleet falls back to in-process pools
    transparently — and bit-for-bit identically.
 
+Every estimator family answers through one read protocol.  A *read
+state* is what a family scores queries against — an RR pool
+(:class:`~.pool.SamplePool`, or :class:`~.shard.ShardPool` on the fleet)
+for ``ris``, a bottom-k oracle for ``sketch``; MC keeps none.  It is
+built once per model, bound to ``model.coarse`` by identity and kept in
+one table under ``ModelKey.for_state(...)``.  It offers ``family``,
+``graph`` (the coarse graph it is bound to), ``bind(graph, model)``
+(restate what depends on the fine graph) and ``read(requested, floor,
+deadline) -> (estimator, achieved, requested, report, extras)``; the
+service owns lookup and build (``_read_for``), the estimate, timing,
+counters and results (``_run_estimate``) and epoch rebinding
+(``_publish_epoch``).
+
 Determinism: for a fixed :class:`ServiceConfig` seed, answers depend only
 on (graph content, query) — batched, sequential, and sharded execution
 return bit-for-bit identical values (see ``benchmarks/bench_serve.py``
@@ -63,7 +76,7 @@ from ..rng import derive_entropy, ensure_rng
 from ..sketch import DEFAULT_SKETCH_K, InfluenceOracle
 from .cache import ModelCache, ModelKey
 from .pool import DEFAULT_CHUNK_SETS, SamplePool
-from .shard import ShardError, ShardPool, ShardRuntime
+from .shard import ShardError, ShardRuntime
 
 __all__ = ["ServiceConfig", "QueryResult", "InfluenceService",
            "MAX_N_SAMPLES"]
@@ -79,10 +92,11 @@ MAX_N_SAMPLES = 100_000_000
 class ServiceConfig:
     """Knobs for one :class:`InfluenceService` instance.
 
-    Model parameters (``r``, ``seed``, ``executor``, ``sampler``) enter
-    the cache key — two services with the same config share warm
-    archives.  The serving parameters (worker/queue/deadline) do not
-    affect query *values*, only latency and degradation behaviour.
+    Model parameters (``r``, ``seed``, ``sampler``, and the Algorithm 6
+    round split that ``executor`` and ``workers`` select) enter the cache
+    key — two services that build the same model share warm archives.
+    The serving parameters (worker/queue/deadline) do not affect query
+    *values*, only latency and degradation behaviour.
     """
 
     # -- model (these are part of the cache key) -----------------------
@@ -201,25 +215,85 @@ class QueryResult:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass
-class _OracleState:
-    """One bottom-k oracle bound to a model epoch, plus its guarantees.
+def _report(config: ServiceConfig, graph: InfluenceGraph,
+            model: CoarsenResult, eps: float) -> GuaranteeReport:
+    """Theorems 6.1/6.2 for ``graph`` at estimation accuracy ``eps``
+    (clamped to 1: a relative error above 1 is vacuous)."""
+    return guarantee_report(
+        graph, model,
+        estimation_eps=min(1.0, eps),
+        n_samples=config.report_samples,
+        rng=ensure_rng(config.seed),
+    )
+
+
+class _SketchRead:
+    """The bottom-k oracle read state of one model, plus its guarantees.
 
     The guarantee report is computed ONCE per oracle build (it pays an MC
     reliability estimation) and attached to every query answered from the
     oracle — recomputing it per query would forfeit the oracle's whole
-    latency win.  ``graph`` is the fine graph the report translates to;
-    a retained model served for a new fine-graph epoch keeps the oracle
-    but restates the report.  ``build_seconds`` and ``report_seconds``
-    are the wall time of the oracle build and of the latest report — the
-    cold read's cost, surfaced per oracle under ``/stats``.
+    latency win.  ``fine`` is the fine graph the report translates to; a
+    retained model served for a new fine-graph epoch keeps the oracle but
+    restates the report (:meth:`bind`).  ``build_seconds`` and
+    ``report_seconds`` are the wall time of the oracle build and of the
+    latest report — the cold read's cost, surfaced under ``/stats``.
     """
 
-    oracle: InfluenceOracle
-    report: GuaranteeReport
-    graph: InfluenceGraph
-    build_seconds: float
-    report_seconds: float
+    family = "sketch"
+
+    def __init__(self, config: ServiceConfig, graph: InfluenceGraph,
+                 model: CoarsenResult) -> None:
+        self._config = config
+        start = time.perf_counter()
+        self.oracle = InfluenceOracle(model.coarse, r=config.r,
+                                      k=config.sketch_k,
+                                      rng=ensure_rng(config.seed))
+        self.build_seconds = time.perf_counter() - start
+        observe("serve.sketch.build_seconds", self.build_seconds)
+        inc("serve.sketch.builds")
+        self.fine: "InfluenceGraph | None" = None
+        self.bind(graph, model)
+
+    @property
+    def graph(self) -> InfluenceGraph:
+        """The coarse graph the oracle is bound to."""
+        return self.oracle.graph
+
+    def bind(self, graph: InfluenceGraph, model: CoarsenResult) -> None:
+        """State Theorem 6.1, with the sketch's (eps, delta) envelope
+        folded in, against fine graph ``graph`` (once per fine graph)."""
+        if graph is self.fine:
+            return
+        start = time.perf_counter()
+        self.report = _report(self._config, graph, model,
+                              self.oracle.eps(self._config.sketch_delta))
+        self.report_seconds = time.perf_counter() - start
+        observe("serve.sketch.report_seconds", self.report_seconds)
+        self.fine = graph
+
+    def read(self, requested: int, floor: int,
+             deadline: "float | None") -> tuple:
+        """The oracle answers at its sketch size ``k``, drawing nothing."""
+        oracle, delta = self.oracle, self._config.sketch_delta
+        return oracle, oracle.k, oracle.k, self.report, {
+            "k": oracle.k, "r": oracle.r, "eps": oracle.eps(delta),
+            "delta": delta}
+
+
+@dataclass(frozen=True)
+class _MonteCarloRead:
+    """MC keeps no per-model state: every query simulates afresh."""
+
+    seed: int
+    family = "mc"
+
+    def read(self, requested: int, floor: int,
+             deadline: "float | None") -> tuple:
+        from ..algorithms.monte_carlo import MonteCarloEstimator
+
+        estimator = MonteCarloEstimator(requested, rng=ensure_rng(self.seed))
+        return estimator, requested, requested, None, {}
 
 
 class InfluenceService:
@@ -241,12 +315,11 @@ class InfluenceService:
             max_bytes=self.config.max_bytes,
             warm_dir=self.config.warm_dir,
         )
+        # The read-state table: every resident per-model read state (RR
+        # pools, sketch oracles) under key.for_state(...) — see _read_for.
         #: guarded-by: _pool_lock
-        self._pools: "dict[ModelKey, SamplePool]" = {}
+        self._pools: "dict[ModelKey, object]" = {}
         self._pool_lock = threading.Lock()
-        #: guarded-by: _oracle_lock
-        self._oracles: "dict[ModelKey, _OracleState]" = {}
-        self._oracle_lock = threading.Lock()
         #: guarded-by: _count_lock
         self._family_queries: "dict[str, int]" = {}
         self._count_lock = threading.Lock()
@@ -300,7 +373,7 @@ class InfluenceService:
         """The cache key addressing ``graph`` under this service's config."""
         return ModelKey.for_graph(
             graph, r=self.config.r, seed=self.config.seed,
-            executor=self.config.executor,
+            executor=self.config.executor, workers=self.config.workers,
             sampler=self.config.sampler,
         )
 
@@ -368,136 +441,89 @@ class InfluenceService:
 
     def _publish_epoch(self, prev_key: ModelKey, key: ModelKey,
                        model: CoarsenResult, retained: bool) -> None:
-        """Install a delta-epoch's model and repair its sample pool.
+        """Install a delta-epoch's model and rebind or drop its read state.
 
-        Copy-on-publish: the previous epoch's cache line and pool are
-        untouched objects — queries that resolved them keep a consistent
-        view.  When the coarse graph survived the delta unchanged
-        (``retained``), the *same* model object is republished under the
-        new key and the pool binding moves with it (prefix reuse keeps
-        working because estimators bind by object identity); otherwise the
-        old pool's prefix is invalidated and a fresh pool is built lazily
-        on the next query.
+        Copy-on-publish: the previous epoch's cache line and read states
+        are untouched objects — queries that resolved them keep a
+        consistent view.  When the coarse graph survived the delta
+        unchanged (``retained``), the *same* model object is republished
+        under the new key and every read state of the previous epoch moves
+        with it: a pool or oracle is a pure function of the coarse content
+        and the config seed, and estimators bind by object identity, so
+        prefix reuse keeps working (a sketch's translated report is
+        restated lazily on the next query).  Otherwise each is dropped and
+        rebuilt lazily on the next query — bit-for-bit a cold build at the
+        new epoch.
         """
         self.cache.put(key, model)
         with self._pool_lock:
-            pool = self._pools.get(prev_key.for_state("pool"))
-            if pool is not None:
-                if retained and pool.graph is model.coarse:
-                    if key != prev_key:
-                        self._pools[key.for_state("pool")] = pool
-                        del self._pools[prev_key.for_state("pool")]
-                    inc("serve.dynamic.pool.retained")
+            for old in [k for k in self._pools
+                        if k.for_state("model") == prev_key]:
+                read = self._pools.pop(old)
+                if retained and read.graph is model.coarse:
+                    self._pools[key.for_state(old.state)] = read
+                    inc(f"serve.dynamic.{old.state}.retained")
+                elif old.state == "pool":  # counts the prefix it discards
+                    inc("serve.dynamic.pool.invalidated_prefix", read.size)
                 else:
-                    inc("serve.dynamic.pool.invalidated_prefix", pool.size)
-                    del self._pools[prev_key.for_state("pool")]
-        with self._oracle_lock:
-            state = self._oracles.get(prev_key.for_state("sketch"))
-            if state is None:
-                return
-            if retained and state.oracle.graph is model.coarse:
-                # The coarse graph survived the delta: the oracle stays
-                # valid (its sketches are a pure function of the coarse
-                # content and the config seed).  The translated report is
-                # restated lazily on the next query (_oracle_for).
-                if key != prev_key:
-                    self._oracles[key.for_state("sketch")] = state
-                    del self._oracles[prev_key.for_state("sketch")]
-                inc("serve.dynamic.sketch.retained")
-            else:
-                # Invalidate; the next query rebuilds from the new model —
-                # bit-for-bit equal to a cold build at this epoch, since
-                # the oracle entropy derives from the config seed alone.
-                inc("serve.dynamic.sketch.invalidated")
-                del self._oracles[prev_key.for_state("sketch")]
+                    inc(f"serve.dynamic.{old.state}.invalidated")
 
-    def _pool_for(self, key: ModelKey, model: CoarsenResult) -> SamplePool:
-        pkey = key.for_state("pool")
-        with self._pool_lock:
-            pool = self._pools.get(pkey)
-            # A pool must be bound to exactly the model object queries
-            # score against (estimators bind by identity); a model that
-            # was evicted and rebuilt gets a fresh pool — same seed, so
-            # the same values, just re-drawn.
-            if pool is not None and pool.graph is not model.coarse:
-                pool = None
-            if pool is None:
-                # One RNG stream per pool, seeded from the config so the
-                # pool contents depend only on (model, seed) — the source
-                # of the batched == sequential determinism guarantee.
-                pool = SamplePool(
-                    model.coarse,
-                    rng=ensure_rng(self.config.seed),
-                    model=self.config.model,
-                    chunk_sets=self.config.chunk_samples,
+    def _read_for(self, graph: InfluenceGraph, model: CoarsenResult,
+                  family: str):
+        """The read state ``family``'s queries on ``graph`` are answered from.
+
+        ``family`` is the served estimator family, or ``"pool"`` for the
+        in-process RR pool (``maximize`` always runs there).  MC keeps no
+        per-model state.  A ris read goes to the shard fleet while it is
+        healthy; all other state lives in the one ``_pools`` table under
+        ``key.for_state("pool" | "sketch")``, so RR pools and oracles of
+        one model never collide.  An entry must be bound to exactly the
+        model object queries score against (estimators bind by identity):
+        a model that was evicted and rebuilt gets a fresh state — same
+        seed, so the same values, just recomputed.  Builds are
+        single-flight under ``_pool_lock``; state of evicted models is
+        dropped with them.
+        """
+        if family == "mc":
+            return _MonteCarloRead(self.config.seed)
+        key = self.key_for(graph)
+        runtime = self._shard_runtime() if family == "ris" else None
+        if runtime is not None:
+            try:
+                # Entropy derivation matches SamplePool's exactly, so a
+                # later fallback pool re-draws the same indexed streams.
+                pool = runtime.pool_for(
+                    key.token(), model.coarse,
+                    derive_entropy(ensure_rng(self.config.seed)),
                 )
-                self._pools[pkey] = pool
-                # Pools for evicted models are dropped with them.
+                # Fleet-side cache eviction: drop models the parent cache
+                # no longer holds (no-op when nothing was evicted).
+                runtime.retain({k.token() for k in self.cache.keys()})
+                return pool
+            except ShardError as exc:
+                self._disable_shard(exc)
+        rkey = key.for_state("sketch" if family == "sketch" else "pool")
+        with self._pool_lock:
+            read = self._pools.get(rkey)
+            if read is None or read.graph is not model.coarse:
+                if rkey.state == "sketch":
+                    read = _SketchRead(self.config, graph, model)
+                else:
+                    # One RNG stream per pool, seeded from the config so
+                    # the pool contents depend only on (model, seed) — the
+                    # source of the batched == sequential guarantee.
+                    read = SamplePool(
+                        model.coarse,
+                        rng=ensure_rng(self.config.seed),
+                        model=self.config.model,
+                        chunk_sets=self.config.chunk_samples,
+                    )
+                self._pools[rkey] = read
                 for stale in [k for k in self._pools
                               if k.for_state("model") not in self.cache]:
                     del self._pools[stale]
-            return pool
-
-    def _oracle_for(self, graph: InfluenceGraph, key: ModelKey,
-                    model: CoarsenResult) -> _OracleState:
-        """The bottom-k oracle (plus its one-time report) for a model.
-
-        Addressed by ``key.for_state("sketch")`` so sketch state can never
-        collide with the RR pool under ``key.for_state("pool")``.  Builds
-        are single-flight under ``_oracle_lock``; the oracle is bound to
-        the model object by identity, exactly like pools, so an evicted
-        and rebuilt model gets a fresh (bit-identical, same-entropy)
-        oracle rather than cross-rebinding a stale one.
-        """
-        skey = key.for_state("sketch")
-        with self._oracle_lock:
-            state = self._oracles.get(skey)
-            if state is not None and state.oracle.graph is not model.coarse:
-                state = None
-            if state is None:
-                start = time.perf_counter()
-                oracle = InfluenceOracle(
-                    model.coarse, r=self.config.r, k=self.config.sketch_k,
-                    rng=ensure_rng(self.config.seed),
-                )
-                build_seconds = time.perf_counter() - start
-                observe("serve.sketch.build_seconds", build_seconds)
-                inc("serve.sketch.builds")
-                report, report_seconds = self._sketch_report(graph, model,
-                                                             oracle)
-                state = _OracleState(
-                    oracle=oracle, report=report, graph=graph,
-                    build_seconds=build_seconds,
-                    report_seconds=report_seconds,
-                )
-                self._oracles[skey] = state
-                for stale in [k for k in self._oracles
-                              if k.for_state("model") not in self.cache]:
-                    del self._oracles[stale]
-            elif state.graph is not graph:
-                # A retained model serving a new fine-graph epoch: the
-                # oracle is unchanged but the translated guarantees must
-                # be restated against the current fine graph.
-                state.report, state.report_seconds = self._sketch_report(
-                    graph, model, state.oracle)
-                state.graph = graph
-            return state
-
-    def _sketch_report(self, graph: InfluenceGraph, model: CoarsenResult,
-                       oracle: InfluenceOracle
-                       ) -> "tuple[GuaranteeReport, float]":
-        """Theorem 6.1 with the sketch's (eps, delta) envelope folded in,
-        and the seconds it took."""
-        start = time.perf_counter()
-        report = guarantee_report(
-            graph, model,
-            estimation_eps=min(1.0, oracle.eps(self.config.sketch_delta)),
-            n_samples=self.config.report_samples,
-            rng=ensure_rng(self.config.seed),
-        )
-        seconds = time.perf_counter() - start
-        observe("serve.sketch.report_seconds", seconds)
-        return report, seconds
+            read.bind(graph, model)
+            return read
 
     # ------------------------------------------------------------------
     # Sharding
@@ -541,27 +567,6 @@ class InfluenceService:
             inc("serve.shard.fallback")
         if runtime is not None:
             runtime.close()
-
-    def _query_pool(self, key: ModelKey,
-                    model: CoarsenResult) -> "SamplePool | ShardPool":
-        """The pool estimates score on: fleet-backed when sharding is
-        healthy, in-process otherwise — identical bits either way."""
-        runtime = self._shard_runtime()
-        if runtime is not None:
-            try:
-                # Entropy derivation matches SamplePool's exactly, so a
-                # later fallback pool re-draws the same indexed streams.
-                pool = runtime.pool_for(
-                    key.token(), model.coarse,
-                    derive_entropy(ensure_rng(self.config.seed)),
-                )
-                # Fleet-side cache eviction: drop models the parent cache
-                # no longer holds (no-op when nothing was evicted).
-                runtime.retain({k.token() for k in self.cache.keys()})
-                return pool
-            except ShardError as exc:
-                self._disable_shard(exc)
-        return self._pool_for(key, model)
 
     # ------------------------------------------------------------------
     # Admission control
@@ -630,21 +635,15 @@ class InfluenceService:
         # Resolve the model — and the family's read state — once, outside
         # the per-query slots.
         model = self.model_for(graph)
-        family = self.config.estimator
-        pool: "SamplePool | ShardPool | None" = None
-        oracle: "_OracleState | None" = None
-        if family == "sketch":
-            oracle = self._oracle_for(graph, self.key_for(graph), model)
-        elif family != "mc":
-            pool = self._query_pool(self.key_for(graph), model)
+        read = self._read_for(graph, model, self.config.estimator)
         futures = []
         try:
             for seeds in seed_sets:
                 self._admit()
                 try:
                     futures.append(self._dispatch.submit(
-                        self._run_estimate, graph, model, pool, oracle,
-                        seeds, requested,
+                        self._run_estimate, graph, model, read, seeds,
+                        requested,
                     ))
                 except BaseException:
                     self._release()
@@ -659,135 +658,63 @@ class InfluenceService:
         return [future.result() for future in futures]
 
     def _run_estimate(self, graph: InfluenceGraph, model: CoarsenResult,
-                      pool: "SamplePool | ShardPool | None",
-                      oracle: "_OracleState | None", seeds: Sequence[int],
+                      read, seeds: Sequence[int],
                       requested: int) -> QueryResult:
+        """Answer one admitted query from ``read``, then release its slot.
+
+        The one estimate path of every family.  The read state supplies
+        the estimator and what only it knows — the samples it achieved,
+        its standing report and its extras; timing, the span, the
+        counters, the deadline report and the shard fallback live here.
+        """
         try:
-            if oracle is not None:
-                return self._estimate_sketch(model, oracle, seeds)
-            if pool is None:
-                return self._estimate_mc(model, seeds, requested)
-            try:
-                return self._estimate_inner(graph, model, pool, seeds,
-                                            requested)
-            except ShardError as exc:
-                # The fleet broke mid-query: latch it off and re-answer
-                # from an in-process pool — same indexed streams, same
-                # bits, just drawn locally.
-                self._disable_shard(exc)
-                fallback = self._pool_for(self.key_for(graph), model)
-                return self._estimate_inner(graph, model, fallback, seeds,
-                                            requested)
+            start = time.perf_counter()
+            seeds_array = np.asarray(seeds, dtype=np.int64)
+            floor = min(self.config.min_samples, requested)
+            with span("serve.estimate", seeds=len(seeds),
+                      n_samples=requested, estimator=read.family):
+                while True:
+                    deadline = None
+                    if self.config.deadline_seconds is not None:
+                        deadline = (time.monotonic()
+                                    + self.config.deadline_seconds)
+                    try:
+                        (estimator, achieved, requested, report,
+                         extras) = read.read(requested, floor, deadline)
+                        value = estimate_on_coarse(model, seeds_array,
+                                                   estimator)
+                        break
+                    except ShardError as exc:
+                        # The fleet broke mid-query: latch it off and
+                        # re-answer from an in-process pool — same indexed
+                        # streams, same bits, just drawn locally.
+                        self._disable_shard(exc)
+                        read = self._read_for(graph, model, read.family)
+            degraded = achieved < requested
+            if degraded:
+                # The RIS estimator's relative error concentrates as
+                # O(1/sqrt(t)) in the sample count t: report what the
+                # deadline actually bought.
+                inc("serve.deadline.degraded")
+                report = _report(self.config, graph, model,
+                                 1.0 / math.sqrt(achieved))
+            inc(f"serve.estimator.{read.family}.queries")
+            with self._count_lock:
+                self._family_queries[read.family] = (
+                    self._family_queries.get(read.family, 0) + 1
+                )
+            inc("serve.queries")
+            return QueryResult(
+                value=value,
+                n_samples=achieved,
+                requested_samples=requested,
+                degraded=degraded,
+                seconds=time.perf_counter() - start,
+                report=report,
+                extras={"estimator": read.family, **extras},
+            )
         finally:
             self._release()
-
-    def _count_query(self, family: str) -> None:
-        inc(f"serve.estimator.{family}.queries")
-        with self._count_lock:
-            self._family_queries[family] = (
-                self._family_queries.get(family, 0) + 1
-            )
-        inc("serve.queries")
-
-    def _estimate_sketch(self, model: CoarsenResult, state: _OracleState,
-                         seeds: Sequence[int]) -> QueryResult:
-        """Answer from the precomputed oracle: no sampling at query time."""
-        start = time.perf_counter()
-        with span("serve.estimate", seeds=len(seeds), n_samples=0,
-                  estimator="sketch"):
-            value = estimate_on_coarse(
-                model, np.asarray(seeds, dtype=np.int64), state.oracle,
-            )
-        self._count_query("sketch")
-        return QueryResult(
-            value=value,
-            n_samples=state.oracle.k,
-            requested_samples=state.oracle.k,
-            seconds=time.perf_counter() - start,
-            report=state.report,
-            extras={
-                "estimator": "sketch",
-                "k": state.oracle.k,
-                "r": state.oracle.r,
-                "eps": state.oracle.eps(self.config.sketch_delta),
-                "delta": self.config.sketch_delta,
-            },
-        )
-
-    def _estimate_mc(self, model: CoarsenResult, seeds: Sequence[int],
-                     requested: int) -> QueryResult:
-        """Simulation per query (``estimator="mc"``): slow, pool-free."""
-        from ..algorithms.monte_carlo import MonteCarloEstimator
-
-        start = time.perf_counter()
-        with span("serve.estimate", seeds=len(seeds), n_samples=requested,
-                  estimator="mc"):
-            est = MonteCarloEstimator(
-                requested, rng=ensure_rng(self.config.seed)
-            )
-            value = estimate_on_coarse(
-                model, np.asarray(seeds, dtype=np.int64), est,
-            )
-        self._count_query("mc")
-        return QueryResult(
-            value=value,
-            n_samples=requested,
-            requested_samples=requested,
-            seconds=time.perf_counter() - start,
-            extras={"estimator": "mc"},
-        )
-
-    def _estimate_inner(self, graph: InfluenceGraph, model: CoarsenResult,
-                        pool: "SamplePool | ShardPool", seeds: Sequence[int],
-                        requested: int) -> QueryResult:
-        start = time.perf_counter()
-        deadline = None
-        if self.config.deadline_seconds is not None:
-            deadline = time.monotonic() + self.config.deadline_seconds
-        with span("serve.estimate", seeds=len(seeds), n_samples=requested,
-                  estimator="ris"):
-            # The floor is grown without a deadline so a query can always
-            # return *something* statistically meaningful.
-            floor = min(self.config.min_samples, requested)
-            pool.ensure(floor)
-            achieved = pool.ensure(requested, deadline=deadline)
-            value = estimate_on_coarse(
-                model, np.asarray(seeds, dtype=np.int64),
-                pool.estimator(achieved),
-            )
-        degraded = achieved < requested
-        report = None
-        if degraded:
-            inc("serve.deadline.degraded")
-            report = self._degradation_report(graph, model, achieved)
-        self._count_query("ris")
-        return QueryResult(
-            value=value,
-            n_samples=achieved,
-            requested_samples=requested,
-            degraded=degraded,
-            seconds=time.perf_counter() - start,
-            report=report,
-            extras={"estimator": "ris", "pool_size": pool.size},
-        )
-
-    def _degradation_report(self, graph: InfluenceGraph,
-                            model: CoarsenResult,
-                            achieved: int) -> GuaranteeReport:
-        """Theorems 6.1/6.2 instantiated at the achieved sketch accuracy.
-
-        The RIS estimator's relative error concentrates as
-        ``O(1/sqrt(t))`` in the sketch size ``t``, so the degraded query
-        reports ``eps = 1/sqrt(achieved)`` — honest about what the deadline
-        actually bought.
-        """
-        eps = min(1.0, 1.0 / math.sqrt(achieved))
-        return guarantee_report(
-            graph, model,
-            estimation_eps=eps,
-            n_samples=self.config.report_samples,
-            rng=ensure_rng(self.config.seed),
-        )
 
     def maximize(self, graph: InfluenceGraph, k: int,
                  n_samples: "int | None" = None) -> MaximizationResult:
@@ -802,7 +729,7 @@ class InfluenceService:
         """
         requested = self._requested_samples(n_samples)
         model = self.model_for(graph)
-        pool = self._pool_for(self.key_for(graph), model)
+        pool = self._read_for(graph, model, "pool")
         self._admit()
         try:
             future = self._dispatch.submit(
@@ -816,20 +743,16 @@ class InfluenceService:
     def _run_maximize(self, model: CoarsenResult, pool: SamplePool,
                       k: int, requested: int) -> MaximizationResult:
         try:
-            return self._maximize_inner(model, pool, k, requested)
+            with span("serve.maximize", k=k, n_samples=requested):
+                pool.ensure(requested)
+                result = maximize_on_coarse(
+                    model, k, pool.maximizer(requested),
+                    rng=ensure_rng(self.config.seed),
+                )
+            inc("serve.queries")
+            return result
         finally:
             self._release()
-
-    def _maximize_inner(self, model: CoarsenResult, pool: SamplePool,
-                        k: int, requested: int) -> MaximizationResult:
-        with span("serve.maximize", k=k, n_samples=requested):
-            pool.ensure(requested)
-            result = maximize_on_coarse(
-                model, k, pool.maximizer(requested),
-                rng=ensure_rng(self.config.seed),
-            )
-        inc("serve.queries")
-        return result
 
     # ------------------------------------------------------------------
     # Introspection
@@ -848,31 +771,30 @@ class InfluenceService:
             }
         with self._count_lock:
             family_queries = dict(self._family_queries)
-        # One snapshot, taken without _oracle_lock (held through a build).
-        oracles = list(self._oracles.items())
-        # Copy under the lock, name outside it: token() hashes, and
-        # _pool_for / _publish_epoch resize the dict concurrently.
-        with self._pool_lock:
-            pools = list(self._pools.items())
+        # One lock-free snapshot: _pool_lock is held through an oracle
+        # build, and token() hashes outside any lock.
+        reads = self._pools.copy()
+        oracles = [(key.token(), read) for key, read in reads.items()
+                   if key.state == "sketch"]
         return {
             "models": len(self.cache),
             "model_bytes": self.cache.nbytes(),
             "pools": {
-                key.token(): pool.size for key, pool in pools
+                key.token(): read.size for key, read in reads.items()
+                if key.state == "pool"
             },
             "estimator": {
                 "family": self.config.estimator,
                 "queries": family_queries,
                 "oracles": {
-                    key.token(): state.oracle.nbytes
-                    for key, state in oracles
+                    token: read.oracle.nbytes for token, read in oracles
                 },
                 "builds": {
-                    key.token(): {
-                        "build_seconds": state.build_seconds,
-                        "report_seconds": state.report_seconds,
+                    token: {
+                        "build_seconds": read.build_seconds,
+                        "report_seconds": read.report_seconds,
                     }
-                    for key, state in oracles
+                    for token, read in oracles
                 },
             },
             "queue_depth": self._depth,

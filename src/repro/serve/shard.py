@@ -67,6 +67,7 @@ from ..graph.shm import (
 )
 from ..obs import inc, set_gauge, span
 from ..rng import ensure_rng, indexed_rng
+from .pool import PooledRead
 
 __all__ = ["ShardError", "ShardRuntime", "ShardPool", "ShardEstimator"]
 
@@ -530,13 +531,14 @@ class ShardRuntime:
             }
 
 
-class ShardPool:
+class ShardPool(PooledRead):
     """Parent-side facade over one model's fleet-sharded pool.
 
     Duck-type compatible with the slice of
     :class:`~repro.serve.pool.SamplePool` the estimate path uses
-    (``ensure`` / ``estimator`` / ``size`` / ``graph``), so
-    ``InfluenceService._estimate_inner`` runs unchanged against either.
+    (``ensure`` / ``estimator`` / ``size`` / ``graph``), so it serves the
+    same read protocol (:class:`~repro.serve.pool.PooledRead`) and
+    ``InfluenceService._run_estimate`` answers from either unchanged.
     Maximization is *not* offered: greedy max coverage needs the full RR
     sets (decremental gains), not hit counts, so ``maximize`` stays on
     the in-process pool.

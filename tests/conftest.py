@@ -67,18 +67,23 @@ def paper_partition_blocks() -> list[list[int]]:
 def _lock_sanitizer(request):
     """Run every threaded suite under the runtime lock sanitizer.
 
-    Tests marked ``parallel``, ``dynamic``, or ``shard`` exercise the
-    serving layer concurrently; the sanitizer (:mod:`repro.sanitize`)
-    records their actual lock-acquisition orders and fails the test on an
-    inversion, self-deadlock, or publish-while-holding-pool/cache-lock.
-    (Shard workers additionally install their own sanitizer when the
-    parent has one — see :mod:`repro.serve.shard`.)  Opt out with
-    ``REPRO_SANITIZE=0`` (e.g. while bisecting an unrelated failure).
+    Tests marked ``parallel``, ``dynamic``, ``shard`` or ``sketch``
+    exercise the serving layer concurrently; the sanitizer
+    (:mod:`repro.sanitize`) records their actual lock-acquisition orders
+    and fails the test on an inversion, self-deadlock, or
+    publish-while-holding-pool/cache-lock.  (Shard workers additionally
+    install their own sanitizer when the parent has one — see
+    :mod:`repro.serve.shard`.)  ``REPRO_SANITIZE=1`` sanitizes every
+    selected test, marked or not; ``REPRO_SANITIZE=0`` opts out (e.g.
+    while bisecting an unrelated failure).  The sanitizer's own
+    self-tests (marked ``sanitizer``) manage their own instance.
     """
-    threaded = (request.node.get_closest_marker("parallel") is not None
-                or request.node.get_closest_marker("dynamic") is not None
-                or request.node.get_closest_marker("shard") is not None)
-    if not threaded or os.environ.get("REPRO_SANITIZE", "1") == "0":
+    setting = os.environ.get("REPRO_SANITIZE")
+    threaded = setting == "1" or any(
+        request.node.get_closest_marker(mark) is not None
+        for mark in ("parallel", "dynamic", "shard", "sketch"))
+    selftest = request.node.get_closest_marker("sanitizer") is not None
+    if not threaded or setting == "0" or selftest:
         yield
         return
     from repro.sanitize import (

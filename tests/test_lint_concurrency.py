@@ -280,7 +280,6 @@ class TestServeLayer:
             "InfluenceService": {
                 "_depth": "_depth_lock",
                 "_family_queries": "_count_lock",
-                "_oracles": "_oracle_lock",
                 "_pools": "_pool_lock",
                 "_shard": "_shard_lock",
                 "_shard_error": "_shard_lock",
@@ -313,7 +312,6 @@ class TestServeLayer:
         cross = {(a, b) for a, b, _ in index.lock_edges()
                  if a.split(".")[0] != b.split(".")[0]}
         assert cross == {
-            ("DynamicModel._mutate_lock", "InfluenceService._oracle_lock"),
             ("DynamicModel._mutate_lock", "InfluenceService._pool_lock"),
             ("DynamicModel._mutate_lock", "ModelCache._lock"),
             ("InfluenceService._build_lock", "ModelCache._lock"),

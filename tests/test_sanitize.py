@@ -24,6 +24,10 @@ from repro.serve import InfluenceService, ModelKey, SamplePool, ServiceConfig
 
 from .conftest import random_graph
 
+# These tests install and inspect their own sanitizer; the autouse
+# fixture in conftest.py leaves them alone even under REPRO_SANITIZE=1.
+pytestmark = pytest.mark.sanitizer
+
 
 def make_pair() -> "tuple[LockSanitizer, SanitizedLock, SanitizedLock]":
     sanitizer = LockSanitizer()
@@ -177,7 +181,7 @@ class TestPublishGuard:
             svc = InfluenceService(ServiceConfig(r=4, n_samples=200,
                                                  min_samples=64))
             try:
-                key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+                key = ModelKey.for_graph(graph, r=4, seed=0)
                 model = coarsen_influence_graph(graph, r=4, rng=0)
                 with pool._lock:  # the discipline breach under test
                     svc.cache.put(key, model)

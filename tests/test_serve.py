@@ -33,7 +33,7 @@ from .conftest import build_graph, random_graph
 
 
 def make_key(tag: str = "a", r: int = 4) -> ModelKey:
-    return ModelKey(graph_digest=tag, r=r, seed=0, executor="serial")
+    return ModelKey(graph_digest=tag, r=r, seed=0)
 
 
 @pytest.fixture
@@ -49,20 +49,48 @@ def model(graph):
 class TestModelKey:
     def test_content_addressing(self, graph):
         g2 = random_graph(120, 500, seed=3)  # same content, new object
-        a = ModelKey.for_graph(graph, 4, 0, "serial")
-        b = ModelKey.for_graph(g2, 4, 0, "serial")
+        a = ModelKey.for_graph(graph, r=4, seed=0)
+        b = ModelKey.for_graph(g2, r=4, seed=0)
         assert a == b
         assert a.token() == b.token()
 
     def test_any_parameter_changes_the_key(self, graph):
-        base = ModelKey.for_graph(graph, 4, 0, "serial")
-        assert ModelKey.for_graph(graph, 5, 0, "serial") != base
-        assert ModelKey.for_graph(graph, 4, 1, "serial") != base
-        assert ModelKey.for_graph(graph, 4, 0, "thread") != base
-        assert ModelKey.for_graph(graph, 4, 0, "serial",
+        base = ModelKey.for_graph(graph, r=4, seed=0)
+        assert ModelKey.for_graph(graph, r=5, seed=0) != base
+        assert ModelKey.for_graph(graph, r=4, seed=1) != base
+        assert ModelKey.for_graph(graph, r=4, seed=0,
+                                  executor="thread") != base
+        assert ModelKey.for_graph(graph, r=4, seed=0, workers=2) != base
+        assert ModelKey.for_graph(graph, r=4, seed=0,
                                   sampler="addressable") != base
         other = random_graph(120, 500, seed=4)
-        assert ModelKey.for_graph(other, 4, 0, "serial") != base
+        assert ModelKey.for_graph(other, r=4, seed=0) != base
+
+    def test_for_graph_is_keyword_only(self, graph):
+        with pytest.raises(TypeError):
+            ModelKey.for_graph(graph, 4, 0)
+
+    def test_keys_agree_exactly_when_models_do(self):
+        """Two configs share a key iff they build the same model: the key
+        follows the Algorithm 6 round split, not the executor name."""
+        graph = random_graph(300, 1200, seed=5)
+        knobs = [("serial", None), ("serial", 2), ("thread", 2),
+                 ("process", 2), ("thread", 4), ("thread", 9)]
+        keys, models = [], []
+        for executor, workers in knobs:
+            with InfluenceService(ServiceConfig(
+                    r=4, executor=executor, workers=workers)) as svc:
+                keys.append(svc.key_for(graph))
+                model = svc.model_for(graph)
+                models.append((model.coarse.digest(), model.pi.tobytes()))
+        for i in range(len(knobs)):
+            for j in range(len(knobs)):
+                assert (keys[i] == keys[j]) == (models[i] == models[j]), (
+                    knobs[i], knobs[j])
+        # Non-vacuous: thread and process share one model and key, and
+        # Algorithm 1, the 2-way and the 4-way split are three models.
+        assert keys[2] == keys[3]
+        assert len({models[0], models[1], models[4]}) == 3
 
     def test_digest_is_cached_and_stable(self, graph):
         assert graph.digest() == graph.digest()
@@ -127,7 +155,7 @@ class TestModelCache:
     def test_warm_start_round_trip(self, tmp_path, graph, model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "serial")
+        key = ModelKey.for_graph(graph, r=4, seed=0)
         path = a.store_warm(key, model)
         assert path is not None
         # A fresh cache (fresh process, conceptually) warm-loads it.
@@ -141,7 +169,7 @@ class TestModelCache:
                                                     model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "serial")
+        key = ModelKey.for_graph(graph, r=4, seed=0)
         path = a.store_warm(key, model)
         other = make_key("forged", r=9)
         (warm / (other.token() + ".npz")).write_bytes(
@@ -153,7 +181,7 @@ class TestModelCache:
     def test_corrupt_warm_archive_degrades_to_miss(self, tmp_path, graph):
         warm = tmp_path / "warm"
         warm.mkdir()
-        key = ModelKey.for_graph(graph, 4, 0, "serial")
+        key = ModelKey.for_graph(graph, r=4, seed=0)
         (warm / (key.token() + ".npz")).write_bytes(b"not an archive")
         cache = ModelCache(max_models=2, warm_dir=warm)
         assert cache.get(key) is None

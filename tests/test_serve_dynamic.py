@@ -203,6 +203,68 @@ class TestPoolLifecycle:
         assert dynamic.model.coarse.digest() == digest_before
 
 
+class TestReadStateLifecycle:
+    """A sketch-family service that has also maximized holds two read
+    states per model (the RR pool and the oracle); one epoch publish
+    moves or drops both."""
+
+    @staticmethod
+    def _resident(svc, key):
+        return {state: svc._pools.get(key.for_state(state))
+                for state in ("pool", "sketch")}
+
+    def test_retained_delta_moves_pool_and_oracle(self):
+        # The reliable 3-cycle of test_pool_retained_when_coarse_model_
+        # survives: the chord 0->2 (p=1) leaves H and pi unchanged.
+        g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+                            (0, 3, 0.5)])
+        registry = obs.MetricsRegistry()
+        with InfluenceService(_config(estimator="sketch",
+                                      sketch_k=16)) as svc:
+            dynamic = svc.attach_dynamic(g)
+            dynamic.estimate([0])
+            dynamic.maximize(1)
+            before_key = dynamic.key
+            before = self._resident(svc, before_key)
+            assert all(read is not None for read in before.values())
+            with obs.use_metrics(registry):
+                out = dynamic.insert_edge(0, 2, 1.0)
+            assert out["model_retained"] is True
+            assert self._resident(svc, dynamic.key) == before
+            assert self._resident(svc, before_key) == {"pool": None,
+                                                       "sketch": None}
+        assert registry.counter("serve.dynamic.pool.retained") == 1
+        assert registry.counter("serve.dynamic.sketch.retained") == 1
+        assert registry.counter("serve.dynamic.pool.invalidated_prefix") == 0
+        assert registry.counter("serve.dynamic.sketch.invalidated") == 0
+
+    def test_structural_delta_drops_pool_and_oracle(self):
+        # The bridged 2-cycles of test_pool_prefix_invalidated_on_
+        # structural_change: deleting one bridge direction splits H.
+        g = build_graph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0),
+                            (3, 2, 1.0), (0, 2, 1.0), (2, 0, 1.0)])
+        registry = obs.MetricsRegistry()
+        with InfluenceService(_config(estimator="sketch",
+                                      sketch_k=16)) as svc:
+            dynamic = svc.attach_dynamic(g)
+            dynamic.estimate([0])
+            dynamic.maximize(1)
+            before_key = dynamic.key
+            pool_size = svc._pools[before_key.for_state("pool")].size
+            assert pool_size > 0
+            with obs.use_metrics(registry):
+                out = dynamic.delete_edge(2, 0)
+            assert out["model_retained"] is False
+            empty = {"pool": None, "sketch": None}
+            assert self._resident(svc, before_key) == empty
+            assert self._resident(svc, dynamic.key) == empty
+        assert registry.counter(
+            "serve.dynamic.pool.invalidated_prefix") == pool_size
+        assert registry.counter("serve.dynamic.sketch.invalidated") == 1
+        assert registry.counter("serve.dynamic.pool.retained") == 0
+        assert registry.counter("serve.dynamic.sketch.retained") == 0
+
+
 class TestWarmArchives:
     def test_mutated_model_reloads_at_its_epoch(self, tmp_path):
         g = _ring_graph()

@@ -19,6 +19,7 @@ Three layers of evidence:
 """
 
 import hashlib
+import threading
 import warnings
 
 import numpy as np
@@ -338,8 +339,6 @@ class TestRegistry:
     def test_menu_and_specs(self):
         assert available_estimators() == ("mc", "ris", "imm", "sketch")
         assert available_estimators(serving=True) == ("mc", "ris", "sketch")
-        assert estimator_spec("sketch").oracle
-        assert estimator_spec("ris").pooled
         with pytest.raises(AlgorithmError, match="choose from"):
             estimator_spec("dmp")
 
@@ -383,13 +382,18 @@ class TestRegistry:
 
 class TestModelKeyState:
     def test_state_dimension_separates_artifacts(self):
-        key = ModelKey("digest", 4, 0, "fwbw", "serial")
+        key = ModelKey("digest", 4, 0)
         assert key.state == "model"
         pool, sketch = key.for_state("pool"), key.for_state("sketch")
         assert len({key, pool, sketch}) == 3
         assert len({key.token(), pool.token(), sketch.token()}) == 3
         assert pool.for_state("model") == key
         assert sketch.as_meta()["state"] == "sketch"
+
+
+def _oracles(svc):
+    """The sketch-oracle read states resident in ``svc``'s read table."""
+    return [read for key, read in svc._pools.items() if key.state == "sketch"]
 
 
 class TestServing:
@@ -436,6 +440,41 @@ class TestServing:
                            "report_seconds")):
             assert timers[name]["count"] == 1
             assert timers[name]["total"] == pytest.approx(cost[key])
+
+    def test_stats_does_not_wait_for_an_oracle_build(self, monkeypatch):
+        """/stats must answer while an oracle build holds the read-state
+        table's lock (the build takes seconds at serving scale)."""
+        from repro.serve import service as service_module
+
+        started, release = threading.Event(), threading.Event()
+        build = service_module.InfluenceOracle
+
+        def slow_build(*args, **kwargs):
+            started.set()
+            release.wait(timeout=60)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "InfluenceOracle", slow_build)
+        g = self._graph()
+        with InfluenceService(ServiceConfig(
+                r=4, estimator="sketch", sketch_k=16)) as svc:
+            query = threading.Thread(target=svc.estimate, args=(g, [0]),
+                                     daemon=True)
+            query.start()
+            try:
+                assert started.wait(timeout=60)
+                snapshot = []
+                reader = threading.Thread(
+                    target=lambda: snapshot.append(svc.stats()),
+                    daemon=True)
+                reader.start()
+                reader.join(timeout=10)
+                assert not reader.is_alive(), "stats() waited for the build"
+                assert snapshot[0]["estimator"]["oracles"] == {}
+            finally:
+                release.set()
+                query.join(timeout=60)
+            assert len(svc.stats()["estimator"]["oracles"]) == 1
 
     def test_sketch_answer_matches_direct_oracle(self):
         g = self._graph()
@@ -487,13 +526,13 @@ class TestServing:
         with InfluenceService(config) as svc:
             dynamic = svc.attach_dynamic(g)
             svc.estimate(dynamic.graph, [0])
-            before = list(svc._oracles.values())[0].oracle
+            before = _oracles(svc)[0].oracle
             u, v = self._absent_pair(g)
             summary = dynamic.apply_deltas([Delta("insert", u, v, 0.9),
                                             Delta("insert", v, u, 0.9)])
             after_graph = dynamic.graph
             svc.estimate(after_graph, [0])
-            states = list(svc._oracles.values())
+            states = _oracles(svc)
             assert len(states) == 1
             after = states[0].oracle
             if not summary["model_retained"]:
@@ -517,11 +556,11 @@ class TestServing:
         with InfluenceService(config) as svc:
             dynamic = svc.attach_dynamic(g)
             svc.estimate(dynamic.graph, [0])
-            before = list(svc._oracles.values())[0].oracle
+            before = _oracles(svc)[0].oracle
             u, v = self._absent_pair(g)
             summary = dynamic.apply_deltas([Delta("insert", u, v, 1e-6)])
             svc.estimate(dynamic.graph, [0])
-            after = list(svc._oracles.values())[0].oracle
+            after = _oracles(svc)[0].oracle
             if summary["model_retained"]:
                 assert after is before
 
