@@ -469,19 +469,14 @@ class DynamicCoarsener:
     def _bundle_q(self, probs: np.ndarray) -> float:
         """``1 - prod(1 - p)`` over one bundle's members, canonical order.
 
-        Mirrors :func:`repro.graph.builder.combine_parallel_edges` exactly:
-        members arrive in canonical original-edge order (its stable lexsort
-        preserves that order within a bundle), log-miss terms are
-        accumulated sequentially (``np.add.at`` is unbuffered), and the
-        result is clipped to ``(0, 1]`` — so the maintained ``q`` is
-        bit-for-bit what a static contraction would produce.
+        Runs :func:`repro.graph.builder.combine_parallel_edges` on the
+        bundle alone: members arrive in canonical original-edge order (its
+        stable sort keeps that order within a bundle), so the maintained
+        ``q`` is bit-for-bit what a static contraction would produce,
+        including ``q == p`` for a single-member bundle.
         """
-        with np.errstate(divide="ignore"):
-            log_miss = np.log1p(-probs)
-        total = np.zeros(1, dtype=np.float64)
-        np.add.at(total, np.zeros(probs.size, dtype=np.intp), log_miss)
-        q = -np.expm1(total[0])
-        return float(np.clip(q, np.nextafter(0.0, 1.0), 1.0))
+        zeros = np.zeros(probs.size, dtype=np.int64)
+        return float(combine_parallel_edges(zeros, zeros, probs)[2][0])
 
     def _patch_bundle(self, cu: int, cv: int) -> bool:
         """Recompute bundle ``(cu, cv)`` from its current member edges.

@@ -175,8 +175,9 @@ def _contract_streaming(
     """Stream the second stage of Algorithm 2; returns ``(out, |F'|)``."""
     singleton = weights == 1
     out = TripletStore.create(out_path, n_coarse)
-    # Aggregation table only for F' = coarse edges touching a non-singleton.
-    agg: dict[int, float] = {}
+    # Aggregation table only for F' = coarse edges touching a non-singleton:
+    # key -> [sum of log(1 - p), member count, first member's p].
+    agg: dict[int, list] = {}
     for tails, heads, probs in source.iter_chunks(chunk_edges):
         cu, cv = pi[tails], pi[heads]
         cross = cu != cv
@@ -188,21 +189,30 @@ def _contract_streaming(
         rest = ~direct
         if rest.any():
             keys = cu[rest] * n_coarse + cv[rest]
+            p = p[rest]
             with np.errstate(divide="ignore"):
-                log_miss = np.log1p(-p[rest])
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            sums = np.zeros(uniq.size, dtype=np.float64)
-            np.add.at(sums, inverse, log_miss)
-            for key, s in zip(uniq.tolist(), sums.tolist()):
-                agg[key] = agg.get(key, 0.0) + s
+                log_miss = np.log1p(-p)
+            uniq, first, inverse, counts = np.unique(
+                keys, return_index=True, return_inverse=True,
+                return_counts=True)
+            sums = np.bincount(inverse, weights=log_miss, minlength=uniq.size)
+            for key, s, c, p0 in zip(uniq.tolist(), sums.tolist(),
+                                     counts.tolist(), p[first].tolist()):
+                entry = agg.get(key)
+                if entry is None:
+                    agg[key] = [s, c, p0]
+                else:
+                    entry[0] += s
+                    entry[1] += c
     if agg:
         # Sorted key order makes the on-disk edge order canonical instead of
         # inheriting the (deterministic but chunking-dependent) dict
         # insertion order.
         keys = np.fromiter(sorted(agg.keys()), dtype=np.int64, count=len(agg))
-        sums = np.fromiter((agg[k] for k in keys.tolist()),
-                           dtype=np.float64, count=len(agg))
-        q = -np.expm1(sums)
-        q = np.clip(q, np.nextafter(0.0, 1.0), 1.0)
+        table = np.array([agg[k] for k in keys.tolist()], dtype=np.float64)
+        # A one-member bundle keeps its p, as in combine_parallel_edges.
+        q = np.where(table[:, 1] == 1, table[:, 2],
+                     np.clip(-np.expm1(table[:, 0]), np.nextafter(0.0, 1.0),
+                             1.0))
         out.append(keys // n_coarse, keys % n_coarse, q)
     return out, len(agg)

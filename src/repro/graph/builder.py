@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphFormatError
-from .influence_graph import InfluenceGraph
+from .influence_graph import InfluenceGraph, check_key_space, sort_edge_keys
 
 __all__ = ["GraphBuilder", "combine_parallel_edges"]
 
@@ -22,28 +22,53 @@ def combine_parallel_edges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate ``(tail, head)`` pairs into single edges.
 
-    Duplicates are combined with the noisy-or rule the paper uses for
-    coarsened edge bundles (Eq. 5): ``p = 1 - prod(1 - p_i)``, i.e. the edge
-    fires if any copy fires.
+    Returns the distinct edges in ``(tail, head)`` order.  Duplicates are
+    combined with the noisy-or rule the paper uses for coarsened edge
+    bundles (Eq. 5): ``p = 1 - prod(1 - p_i)``, i.e. the edge fires if any
+    copy fires; the ``log(1 - p_i)`` terms are summed in input order.  An
+    edge with a single copy keeps its ``p`` unchanged, so a graph built
+    from distinct edges stores exactly the probabilities it was given (the
+    returned ``probs`` may then be the input array itself).
+
+    Each ``(tail, head)`` is packed into one int64 key
+    ``tail * width + head`` with ``width = max head + 1``, so a negative id
+    (which would alias another edge's key) or ids whose square overflows
+    int64 raise :class:`GraphFormatError`.
     """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
     if tails.size == 0:
         return tails, heads, probs
-    order = np.lexsort((heads, tails))
-    tails, heads, probs = tails[order], heads[order], probs[order]
-    boundary = np.empty(tails.size, dtype=bool)
+    if tails.min() < 0 or heads.min() < 0:
+        raise GraphFormatError("vertex ids must be non-negative")
+    width = int(heads.max()) + 1
+    check_key_space(max(int(tails.max()) + 1, width))
+    keys, probs, _ = sort_edge_keys(tails * width + heads, probs)
+    boundary = np.empty(keys.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    keys = keys[boundary]
+    tails = keys // width
+    heads = keys - tails * width
+    del keys
+    if tails.size == probs.size:
+        return tails, heads, probs
+    starts = np.flatnonzero(boundary)
     group = np.cumsum(boundary) - 1
-    n_groups = int(group[-1]) + 1
+    del boundary
     # Accumulate log(1 - p) per group; exact for p < 1, and p == 1 forces the
     # combined probability to 1 regardless, which -inf log handles correctly.
+    # bincount adds each group's terms one at a time in input order.
     with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-probs)
-    sum_log = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(sum_log, group, log_miss)
-    combined = -np.expm1(sum_log)
-    combined = np.clip(combined, np.nextafter(0.0, 1.0), 1.0)
-    return tails[boundary], heads[boundary], combined
+        sum_log = np.bincount(group, weights=np.log1p(-probs),
+                              minlength=starts.size)
+    del group
+    multi = np.diff(starts, append=probs.size) > 1
+    combined = probs[starts]
+    combined[multi] = np.clip(-np.expm1(sum_log[multi]),
+                              np.nextafter(0.0, 1.0), 1.0)
+    return tails, heads, combined
 
 
 class GraphBuilder:
@@ -108,6 +133,7 @@ class GraphBuilder:
         n = self._n
         if n is None:
             n = int(max(tails.max(initial=-1), heads.max(initial=-1))) + 1
+        check_key_space(n)
         # negated form rejects NaN as well as out-of-range values
         if probs.size and not ((probs > 0.0) & (probs <= 1.0)).all():
             raise GraphFormatError("influence probabilities must lie in (0, 1]")

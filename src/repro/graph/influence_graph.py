@@ -23,6 +23,40 @@ from ..errors import GraphFormatError
 
 __all__ = ["InfluenceGraph"]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_key_space(n: int) -> None:
+    """Raise :class:`GraphFormatError` unless ``n * n`` fits in int64.
+
+    Edges are sorted and grouped by the packed key ``tail * n + head``; with
+    ids in ``[0, n)`` every key is below ``n * n``, so this bound is what
+    keeps two edges from sharing a key.
+    """
+    if int(n) ** 2 > _INT64_MAX:
+        raise GraphFormatError(
+            f"{n} vertices overflow the int64 edge key (n * n > 2**63 - 1)"
+        )
+
+
+def sort_edge_keys(
+    keys: np.ndarray, probs: np.ndarray, stable: bool = True
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(keys, probs, moved)`` in non-decreasing key order.
+
+    Keys already in order come back as given with ``moved`` False.
+    Otherwise one argsort orders the keys and only ``probs`` is gathered
+    through it.  A stable sort keeps copies of one key in input order;
+    distinct keys may pass ``stable=False`` for numpy's faster default
+    sort, which orders them the same way.
+    """
+    if keys.size < 2 or not (keys[1:] < keys[:-1]).any():
+        return keys, probs, False
+    order = np.argsort(keys, kind="stable" if stable else None)
+    keys = keys[order]
+    probs = probs[order]
+    return keys, probs, True
+
 
 class InfluenceGraph:
     """An immutable directed influence graph in CSR form.
@@ -87,30 +121,38 @@ class InfluenceGraph:
     ) -> "InfluenceGraph":
         """Build a graph from parallel edge arrays (any order).
 
-        Edges are sorted into CSR order.  Self-loops and duplicate edges are
-        rejected; use :class:`~repro.graph.builder.GraphBuilder` to clean raw
-        data first.
+        Edges are put into CSR order by one packed key ``tail * n + head``;
+        input already in that order is not sorted again, and its arrays
+        may then be shared with the graph, as with the constructor.
+        Self-loops and duplicate edges are rejected; use
+        :class:`~repro.graph.builder.GraphBuilder` to clean raw data first.
         """
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         probs = np.asarray(probs, dtype=np.float64)
         if not (tails.shape == heads.shape == probs.shape):
             raise GraphFormatError("tails, heads and probs must have equal length")
-        order = np.lexsort((heads, tails))
-        tails, heads, probs = tails[order], heads[order], probs[order]
-        if tails.size and (tails.min() < 0 or tails.max() >= n):
-            raise GraphFormatError("edge tail out of range")
+        if tails.size:
+            if tails.min() < 0 or tails.max() >= n:
+                raise GraphFormatError("edge tail out of range")
+            if heads.min() < 0 or heads.max() >= n:
+                raise GraphFormatError("edge head out of range")
+        check_key_space(n)
+        # A valid edge set has distinct keys, and a duplicate is caught
+        # below whatever the order of its copies.
+        keys, probs, moved = sort_edge_keys(tails * n + heads, probs,
+                                            stable=False)
+        if keys.size > 1 and (keys[1:] == keys[:-1]).any():
+            raise GraphFormatError(
+                "duplicate edges present; combine them with GraphBuilder"
+            )
+        if moved:
+            tails = keys // n
+            heads = keys - tails * n
+        del keys
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, tails + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        graph = cls(indptr, heads, probs, weights=weights)
-        if graph.m > 1:
-            same = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
-            if same.any():
-                raise GraphFormatError(
-                    "duplicate edges present; combine them with GraphBuilder"
-                )
-        return graph
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        return cls(indptr, heads, probs, weights=weights)
 
     @classmethod
     def empty(cls, n: int) -> "InfluenceGraph":

@@ -125,13 +125,17 @@ def write_edge_list(
     path: "str | os.PathLike[str]",
     include_probs: bool = True,
 ) -> None:
-    """Write a graph as a text edge list (``u v p`` per line)."""
+    """Write a graph as a text edge list (``u v p`` per line).
+
+    Each ``p`` is written in its shortest round-trip form, so
+    :func:`read_edge_list` gives back every probability bit for bit.
+    """
     tails, heads, probs = graph.edge_arrays()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# influence graph: n={graph.n} m={graph.m}\n")
         if include_probs:
             for u, v, p in zip(tails, heads, probs):
-                handle.write(f"{u} {v} {p:.10g}\n")
+                handle.write(f"{u} {v} {float(p)!r}\n")
         else:
             for u, v in zip(tails, heads):
                 handle.write(f"{u} {v}\n")

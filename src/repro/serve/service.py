@@ -194,6 +194,11 @@ class ServiceConfig:
                 "sampler='addressable' implies executor='serial' (the "
                 "addressable cold path is not parallelised)"
             )
+        if self.sampler == "addressable" and self.workers is not None:
+            raise ValueError(
+                "sampler='addressable' takes no workers (the addressable "
+                "cold path is not parallelised)"
+            )
 
 
 @dataclass

@@ -8,7 +8,12 @@ None of these is reachable from the library:
   scan with a hash table;
 * :func:`reference_fold` — the r-robust fold ``P_i = P_{i-1} ∧ SCC(G_i)``
   over the same live-edge samples :func:`repro.core.robust_scc_partition`
-  draws, with a reference SCC routine per sample and no early exit.
+  draws, with a reference SCC routine per sample and no early exit;
+* :func:`lexsort_combine` and :func:`lexsort_csr` — the two-key
+  ``np.lexsort`` + unbuffered ``np.add.at`` builds that
+  :func:`repro.graph.combine_parallel_edges` and
+  :meth:`repro.graph.InfluenceGraph.from_edges` replaced with one packed
+  key.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from repro.scc import kosaraju_scc_labels, tarjan_scc_labels
 
 __all__ = [
     "REFERENCE_SCC",
+    "lexsort_combine",
+    "lexsort_csr",
     "meet_labels_hash",
     "reference_fold",
     "scipy_scc_labels",
@@ -91,3 +98,39 @@ def reference_fold(
         blocks = Partition(scc(indptr, heads))
         partition = Partition(meet_labels_hash(partition.labels, blocks.labels))
     return partition
+
+
+def lexsort_combine(
+    tails: np.ndarray, heads: np.ndarray, probs: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Noisy-or merge of parallel edges by lexsort and ``np.add.at``.
+
+    Every group, single copies included, goes through
+    ``-expm1(sum log1p(-p))``.
+    """
+    if tails.size == 0:
+        return tails, heads, probs
+    order = np.lexsort((heads, tails))
+    tails, heads, probs = tails[order], heads[order], probs[order]
+    boundary = np.empty(tails.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+    group = np.cumsum(boundary) - 1
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-probs)
+    sum_log = np.zeros(int(group[-1]) + 1, dtype=np.float64)
+    np.add.at(sum_log, group, log_miss)
+    combined = np.clip(-np.expm1(sum_log), np.nextafter(0.0, 1.0), 1.0)
+    return tails[boundary], heads[boundary], combined
+
+
+def lexsort_csr(
+    n: int, tails: np.ndarray, heads: np.ndarray, probs: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(indptr, heads, probs)`` in CSR order by lexsort and ``np.add.at``."""
+    order = np.lexsort((heads, tails))
+    tails, heads, probs = tails[order], heads[order], probs[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, tails + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, heads, probs

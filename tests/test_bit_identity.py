@@ -16,7 +16,10 @@ SCC kernel as a block restriction.  They pin the partition labels, ``pi``
 and the coarse graph's digest of Algorithm 1, Algorithm 6 (thread and
 process executors), Algorithm 2, the addressable cold rebuild, a
 :class:`DynamicCoarsener` after a mixed insert/delete batch, and the
-refinement chain.
+refinement chain.  The coarse-graph digests were re-pinned once, when a
+one-member edge bundle began keeping its ``p`` instead of
+``-expm1(log1p(-p))``; no partition or ``pi`` moved, and Algorithm 2's
+coarse graph has equalled Algorithm 1's since.
 """
 
 from __future__ import annotations
@@ -262,13 +265,15 @@ def _coarsening_digests(result) -> "tuple[int, str, str, str]":
             _digest([result.pi]), result.coarse.digest())
 
 
+_ALGORITHM_1 = (2579, "afe660d1283bcfa3df8bbf07b889548a",
+                "afe660d1283bcfa3df8bbf07b889548a",
+                "255c8c6792a884336fe73fbd98dafd6a")
+
+
 class TestCoarseningPins:
     def test_algorithm_1(self, mixed_graph):
         result = coarsen_influence_graph(mixed_graph, 12, rng=5)
-        assert _coarsening_digests(result) == (
-            2579, "afe660d1283bcfa3df8bbf07b889548a",
-            "afe660d1283bcfa3df8bbf07b889548a",
-            "0d7d15370619e281aa02bd66788fa338")
+        assert _coarsening_digests(result) == _ALGORITHM_1
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_algorithm_6(self, mixed_graph, executor):
@@ -277,7 +282,7 @@ class TestCoarseningPins:
         assert _coarsening_digests(result) == (
             2570, "3a3e846fb709346e5de22b1c5d752c8c",
             "3a3e846fb709346e5de22b1c5d752c8c",
-            "ac8bd4c3f196649c2490c8d660d44872")
+            "bf455d8e7b32e3e3206f0146b02bb044")
 
     def test_algorithm_2(self, mixed_graph, tmp_path):
         source = TripletStore.from_graph(mixed_graph,
@@ -285,25 +290,23 @@ class TestCoarseningPins:
         result = coarsen_influence_graph(
             source, 12, rng=5, space="sublinear",
             out_path=os.fspath(tmp_path / "h.trip")).load()
-        assert _coarsening_digests(result) == (
-            2579, "afe660d1283bcfa3df8bbf07b889548a",
-            "afe660d1283bcfa3df8bbf07b889548a",
-            "3606e14ffd3dfb7474659bd2b3190516")
+        # Same partition, pi and coarse graph as Algorithm 1.
+        assert _coarsening_digests(result) == _ALGORITHM_1
 
     def test_coarsen_addressable(self, mixed_graph):
         result = coarsen_addressable(mixed_graph, 12, seed=5)
         assert _coarsening_digests(result) == (
             2586, "987a67b4f4c6ffc27e6244ee74d692d9",
             "987a67b4f4c6ffc27e6244ee74d692d9",
-            "6842347800e0e97b11addef3ce544602")
+            "6b807af4c604a459cc08feca7467cc4b")
 
     @pytest.mark.parametrize("coins, expected", [
         ("stream", (2581, "acdd6fe60d03de0f230a0b0343f66928",
                     "acdd6fe60d03de0f230a0b0343f66928",
-                    "66df455e1670b27b6ee2578988c920b2")),
+                    "f03722791b53b02597d1b6a21da22fdf")),
         ("addressable", (2579, "f11ff4ba91fbc6e79fa22ce6336e4ff6",
                          "f11ff4ba91fbc6e79fa22ce6336e4ff6",
-                         "b5eb371b22e66adab54a21f74bb43f78")),
+                         "238c24aaa17029524d5b525da202fa57")),
     ])
     def test_dynamic_after_mixed_batch(self, mixed_graph, coins, expected):
         dyn = DynamicCoarsener(mixed_graph, r=12, rng=5, coins=coins)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import GraphBuilder, combine_parallel_edges
+from repro.graph import GraphBuilder, InfluenceGraph, combine_parallel_edges
+from repro.graph.influence_graph import check_key_space
 
 
 class TestCombineParallelEdges:
@@ -16,6 +17,16 @@ class TestCombineParallelEdges:
         assert t.tolist() == [0, 1]
         assert h.tolist() == [1, 2]
         assert p == pytest.approx([0.3, 0.4])
+
+    def test_single_copies_keep_their_probability(self):
+        # -expm1(log1p(-p)) would store 0.40400658973322034
+        tails = np.array([1, 0, 0, 0], dtype=np.int64)
+        heads = np.array([2, 1, 2, 1], dtype=np.int64)
+        probs = np.array([0.4040065897332203, 0.3, 0.1, 0.2])
+        t, h, p = combine_parallel_edges(tails, heads, probs)
+        assert list(zip(t.tolist(), h.tolist())) == [(0, 1), (0, 2), (1, 2)]
+        assert p[1:].tolist() == [0.1, 0.4040065897332203]
+        assert p[0] == pytest.approx(1 - 0.7 * 0.8)
 
     def test_noisy_or_combination(self):
         tails = np.array([0, 0], dtype=np.int64)
@@ -109,3 +120,42 @@ class TestGraphBuilder:
         b.add_edge(0, 1, 0.5)
         g = b.build(weights=np.array([2, 3]))
         assert g.total_weight == 5
+
+
+class TestTypedErrorsBeforePacking:
+    """Each edge is packed into the int64 key ``tail * width + head``."""
+
+    def test_negative_head(self):
+        # With heads.max() == 5, (1, -1) and (0, 5) would share key 5.
+        b = GraphBuilder()
+        b.add_edges([1, 0], [-1, 5], [0.5, 0.5])
+        with pytest.raises(GraphFormatError,
+                           match="vertex ids must be non-negative"):
+            b.build()
+        with pytest.raises(GraphFormatError,
+                           match="vertex ids must be non-negative"):
+            combine_parallel_edges(np.array([1, 0]), np.array([-1, 5]),
+                                   np.array([0.5, 0.5]))
+
+    def test_head_at_least_n(self):
+        b = GraphBuilder(n=3)
+        b.add_edge(0, 5, 0.5)
+        with pytest.raises(GraphFormatError, match="edge head out of range"):
+            b.build()
+        for head in (3, -1):
+            with pytest.raises(GraphFormatError,
+                               match="edge head out of range"):
+                InfluenceGraph.from_edges(3, [0], [head], [0.5])
+
+    def test_oversized_inferred_n(self):
+        b = GraphBuilder()
+        b.add_edge(0, 2**40, 0.5)
+        with pytest.raises(GraphFormatError,
+                           match="vertices overflow the int64 edge key"):
+            b.build()
+        with pytest.raises(GraphFormatError,
+                           match="vertices overflow the int64 edge key"):
+            InfluenceGraph.from_edges(2**32, [0], [1], [0.5])
+        check_key_space(3_037_000_499)  # the largest n whose keys fit
+        with pytest.raises(GraphFormatError, match="overflow"):
+            check_key_space(3_037_000_500)

@@ -145,13 +145,33 @@ class TestVectorizedRead:
     def test_full_precision_probabilities(self, tmp_path):
         rng = np.random.default_rng(9)
         probs = rng.uniform(1e-6, 1.0, size=500).tolist()
+        probs[0] = 0.4040065897332203  # -expm1(log1p(-p)) moves it one ulp
         path = tmp_path / "g.txt"
         path.write_text("".join(f"{i} {i + 1} {p!r}\n"
                                 for i, p in enumerate(probs)))
         with open(path) as handle:
             fast = _parse_columns(handle, "#", 0.1)
         assert fast is not None and fast[2].tolist() == probs
-        assert read_edge_list(path).digest() == _line_by_line(path).digest()
+        read = read_edge_list(path)
+        assert read.digest() == _line_by_line(path).digest()
+        assert read.probs.tolist() == probs
+
+        # write then read keeps every p bit for bit, for a graph built
+        # directly and for one built through GraphBuilder from shuffled
+        # input
+        graph = InfluenceGraph.from_edges(501, np.arange(500),
+                                          np.arange(1, 501), probs)
+        order = rng.permutation(500)
+        builder = GraphBuilder()
+        builder.add_edges(order, order + 1, np.asarray(probs)[order])
+        built = builder.build()
+        assert built.probs.tobytes() == graph.probs.tobytes()
+        for g in (graph, built):
+            out = tmp_path / "out.txt"
+            write_edge_list(g, out)
+            back = read_edge_list(out)
+            assert back.probs.tobytes() == g.probs.tobytes()
+            assert back.digest() == g.digest()
 
     @pytest.mark.parametrize("text", [
         "0 1 0.5 extra stuff\n",  # today's malformed case

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import coarsen, robust_scc_partition
-from repro.graph import GraphBuilder, combine_parallel_edges
+from repro.graph import GraphBuilder, InfluenceGraph, combine_parallel_edges
 from repro.partition import Partition, meet_labels
 from repro.scc import kosaraju_scc_labels, scc_labels, tarjan_scc_labels
 
-from .references import meet_labels_hash
+from .references import lexsort_combine, lexsort_csr, meet_labels_hash
 
 
 @st.composite
@@ -150,3 +150,45 @@ class TestCombineParallelEdges:
         assert t.size == len(expected)
         for u, v, q in zip(t.tolist(), h.tolist(), p.tolist()):
             assert abs(q - (1.0 - expected[(u, v)])) < 1e-9
+
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(0, 120),
+        dup_share=st.sampled_from([0.0, 0.3, 1.0]),
+        layout=st.sampled_from(["sorted", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_lexsort_reference(self, n, m, dup_share, layout, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.choice(n * n, size=min(m, n * n), replace=False)
+        keys = keys[keys // n != keys % n]  # no self-loops
+        extra = rng.choice(keys, size=int(dup_share * keys.size))
+        keys = np.concatenate([keys, extra])
+        if layout == "sorted":
+            keys = np.sort(keys, kind="stable")
+        else:
+            keys = rng.permutation(keys)
+        tails, heads = keys // n, keys % n
+        probs = rng.uniform(0.0, 1.0, keys.size)
+        probs[probs == 0.0] = 1.0
+        probs[rng.random(keys.size) < 0.05] = 1.0
+        t, h, p = combine_parallel_edges(tails, heads, probs)
+        rt, rh, rp = lexsort_combine(tails, heads, probs)
+        assert np.array_equal(t, rt) and np.array_equal(h, rh)
+        # copies per distinct edge, and the p of a single copy
+        uniq, first, counts = np.unique(keys, return_index=True,
+                                        return_counts=True)
+        assert np.array_equal(uniq, t * n + h)
+        multi = counts > 1
+        assert p[multi].tobytes() == rp[multi].tobytes()
+        assert p[~multi].tobytes() == probs[first[~multi]].tobytes()
+
+        # from_edges on the distinct edges, shuffled: the reference CSR
+        order = rng.permutation(t.size)
+        graph = InfluenceGraph.from_edges(n, t[order], h[order], p[order])
+        indptr, csr_heads, csr_probs = lexsort_csr(n, t[order], h[order],
+                                                   p[order])
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.heads, csr_heads)
+        assert graph.probs.tobytes() == csr_probs.tobytes()

@@ -113,6 +113,13 @@ class TestServiceConfigValidation:
             assert ServiceConfig(executor=executor, workers=2).workers == 2
         assert ServiceConfig().workers is None
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_addressable_rejects_workers(self, workers):
+        # coarsen_addressable has no worker knob; the value would be ignored
+        with pytest.raises(ValueError, match="takes no workers"):
+            ServiceConfig(sampler="addressable", workers=workers)
+        assert ServiceConfig(sampler="addressable").workers is None
+
 
 class TestModelCache:
     def test_lru_eviction_order(self, model):
