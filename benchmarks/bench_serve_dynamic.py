@@ -19,7 +19,10 @@ live deployment:
 Acceptance (asserted when writing artefacts): batched per-delta update
 latency must beat cold-rebuild-per-delta by >= 50x, and the maintained
 model must be bit-for-bit the cold :func:`repro.core.coarsen_addressable`
-of the final mutated graph (checked in every mode).  Results land in
+of the final mutated graph, and each of the mixed tier's batches applied
+as one ``apply_deltas`` must reach the model (``H`` digest, ``pi``) and
+the coin counts that the same deltas reach one by one (both checked in
+every mode).  Results land in
 ``benchmarks/results/serve_dynamic.json`` and the repo-root
 ``BENCH_dynamic.json``.
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from repro.bench import render_table, save_json
 from repro.core import coarsen_addressable
-from repro.core.dynamic import Delta
+from repro.core.dynamic import Delta, DynamicCoarsener
 from repro.rng import ensure_rng
 from repro.serve import InfluenceService, ServiceConfig
 
@@ -89,6 +92,33 @@ class _Churn:
         return deltas
 
 
+def batch_equals_sequential(graph, batches: list[list[Delta]]) -> bool:
+    """Each batch as one ``apply_deltas`` against the same deltas one by one.
+
+    Graph, ``H`` digest and ``pi`` must agree, and so must every count the
+    two orders share: insertions, deletions, coin-flip skips
+    (``scc_skipped - scc_pruned``) and materialised hits (``scc_pruned +
+    scc_recomputations``).  How the hits split into pruned and recomputed,
+    and so the rebuild and fast-update counts, may differ: a batch defers
+    and merges its samples' recomputations.
+    """
+    twins = [DynamicCoarsener(graph, r=R, rng=SEED, coins="addressable")
+             for _ in range(2)]
+    for deltas in batches:
+        twins[0].apply_deltas(deltas)
+        for delta in deltas:
+            twins[1].apply_deltas([delta])
+
+    def shared(dyn) -> tuple:
+        s, snap = dyn.stats, dyn.snapshot()
+        return (dyn.current_graph().digest(), snap.coarse.digest(),
+                snap.pi.tobytes(), s.insertions, s.deletions,
+                s.scc_skipped - s.scc_pruned,
+                s.scc_pruned + s.scc_recomputations)
+
+    return shared(twins[0]) == shared(twins[1])
+
+
 def generate(quick: bool = False) -> dict:
     n, m = (QUICK_N, QUICK_M) if quick else (GRAPH_N, GRAPH_M)
     n_batches = QUICK_BATCHES if quick else N_BATCHES
@@ -131,9 +161,12 @@ def generate(quick: bool = False) -> dict:
         # Tier 2 — mixed read/write: delta batches (the /apply_deltas
         # path) racing estimate queries on the epochs they publish.
         batch_lat, query_lat = [], []
+        batches: list[list[Delta]] = []
+        mixed_start = dyn.graph
         deltas_applied = 0
         for i in range(n_batches):
             deltas = churn.batch(BATCH)
+            batches.append(deltas)
             t0 = time.perf_counter()
             dyn.apply_deltas(deltas)
             batch_lat.append(time.perf_counter() - t0)
@@ -155,6 +188,8 @@ def generate(quick: bool = False) -> dict:
         )
         assert equivalent, "dynamic model diverged from cold rebuild"
         stats = dyn._coarsener.stats
+    batched_equals = batch_equals_sequential(mixed_start, batches)
+    assert batched_equals, "a batch diverged from its deltas one by one"
 
     single = np.array(single_lat)
     batched = np.array(batch_lat)
@@ -189,6 +224,7 @@ def generate(quick: bool = False) -> dict:
         "full_rebuilds": stats.full_rebuilds,
         "fast_updates": stats.fast_updates,
         "dynamic_equals_cold": equivalent,
+        "batch_equals_sequential": batched_equals,
     }
 
     print(render_table(
@@ -210,6 +246,7 @@ def generate(quick: bool = False) -> dict:
             ["SCC recomputations pruned", f"{pruned_pct:.1f}%"],
             ["full rebuilds", str(stats.full_rebuilds)],
             ["dynamic == cold rebuild", str(equivalent)],
+            ["batch == one by one", str(batched_equals)],
         ],
     ))
 
@@ -229,6 +266,7 @@ def bench_serve_dynamic(benchmark):
     raw = run_once(benchmark, generate)
     assert raw["schema"] == "bench_serve_dynamic/v1"
     assert raw["dynamic_equals_cold"]
+    assert raw["batch_equals_sequential"]
     # Even in quick mode a maintained update beats re-coarsening: it only
     # touches the samples in which the edge materialises.
     assert raw["batched_per_delta_ms"] < raw["cold_rebuild_per_delta_ms"]

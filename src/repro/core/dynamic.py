@@ -25,14 +25,23 @@ coarse edge bundles touched by the batch need a probability update.
 Internal representation
 -----------------------
 
-All maintained state is flat numpy arrays so updates cost vectorised
-O(m) splices, never Python-object churn: the edge list lives in canonical
-CSR order (``_tails``/``_heads``/``_probs`` plus a packed ``_sortkey``
-for O(log m) membership), each sample is a boolean keep-mask over that
-edge list, and the coarse graph is a parallel set of sorted bundle
-arrays patched in place on the fast path.  ``snapshot()`` and
-``current_graph()`` are cached per update-version and rebuild CSR
-structures directly from the already-sorted arrays.
+All maintained state is flat numpy arrays: the edge list in canonical CSR
+order (``_indptr``/``_heads``/``_probs``; a row's heads ascend, so
+membership is one ``np.searchsorted`` inside a row), each sample as a row
+of one ``(r, m)`` boolean keep matrix over that edge list, and the coarse
+graph as a parallel set of sorted bundle arrays patched in place on the
+fast path.  Tails and coarse endpoints are derived where they are needed,
+never stored.
+
+A batch does not touch the edge arrays until its end.  Its pruning probes
+read the pre-batch CSR through a small overlay — the base positions the
+batch has deleted so far and the edges it has inserted so far, with their
+coins — so every probe sees exactly the edge set a one-at-a-time splice
+would have produced, and the counters cannot differ.  Then one pass of
+contiguous segment copies rebuilds each array, so a batch costs one O(m)
+splice, not one per delta.  The spliced arrays are always new objects and
+never written afterwards, so ``current_graph()`` shares them; it and
+``snapshot()`` are cached per update-version.
 
 Coin disciplines
 ----------------
@@ -70,6 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffusion.live_edge import live_edge_csr_from_mask
+from ..diffusion.reachability import gather_ranges
 from ..errors import (
     CoarseningError,
     WireFormatError,
@@ -121,20 +131,23 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def edge_coin_uniforms(
-    tails: np.ndarray, heads: np.ndarray, sample_index: int, seed: int
+    tails: np.ndarray, heads: np.ndarray, sample_index: int | np.ndarray,
+    seed: int,
 ) -> np.ndarray:
     """Counter-based uniforms in ``[0, 1)``, one per ``(tail, head)`` pair.
 
     The value for an edge depends only on ``(seed, sample_index, tail,
     head)`` — never on how many draws happened before — so cold and
     incremental constructions of the same live-edge sample agree exactly.
+    ``sample_index`` may also be an array, broadcast against the edges:
+    one edge's coins in all samples are one call.
     """
     tails = np.asarray(tails).astype(np.uint64)
     heads = np.asarray(heads).astype(np.uint64)
     base = _mix64(
         np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-        + np.uint64(sample_index)
-    )[0]
+        + np.atleast_1d(sample_index).astype(np.uint64)
+    )
     word = _mix64(_mix64(tails + base) + heads)
     return (word >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
@@ -251,6 +264,21 @@ def coarsen_addressable(
     return CoarsenResult(coarse=coarse, pi=pi, partition=partition, stats=stats)
 
 
+class _Overlay:
+    """One batch's edits over the pre-batch CSR, until its single splice.
+
+    ``gone[u]`` lists the base positions the batch deleted from row ``u``;
+    ``added[u][v]`` is ``(p, hits)`` for each edge the batch inserted and
+    has not deleted again.
+    """
+
+    __slots__ = ("gone", "added")
+
+    def __init__(self) -> None:
+        self.gone: "dict[int, list[int]]" = {}
+        self.added: "dict[int, dict[int, tuple[float, np.ndarray]]]" = {}
+
+
 class DynamicCoarsener:
     """Incrementally maintained coarsening of a mutating influence graph.
 
@@ -301,16 +329,14 @@ class DynamicCoarsener:
         self.stats = DynamicStats()
 
         tails, heads, probs = graph.edge_arrays()
-        # Canonical CSR-ordered edge arrays; _sortkey packs (tail, head)
-        # into one int64 so membership and splice points are one
-        # np.searchsorted away.
-        self._tails = np.ascontiguousarray(tails, dtype=np.int64).copy()
-        self._heads = np.ascontiguousarray(heads, dtype=np.int64).copy()
-        self._probs = np.ascontiguousarray(probs, dtype=np.float64).copy()
-        self._sortkey = self._tails * np.int64(max(self.n, 1)) + self._heads
-        self._indptr = graph.indptr.copy()
+        # Canonical CSR edge arrays.  A batch replaces them with new arrays
+        # and never writes into them, so they can be shared: with the
+        # input graph here, and with current_graph() later.
+        self._indptr = graph.indptr
+        self._heads = graph.heads
+        self._probs = graph.probs
         # Sample keep-masks as one (r, m) boolean matrix aligned with the
-        # edge arrays — a mutation splices every sample in one axis-1 copy.
+        # edge arrays — a batch splices every sample in one segment pass.
         self._keep = np.empty((r, graph.m), dtype=bool)
         for i in range(r):
             if coins == "addressable":
@@ -332,45 +358,84 @@ class DynamicCoarsener:
     @property
     def m(self) -> int:
         """Number of edges in the current graph."""
-        return int(self._tails.size)
+        return int(self._heads.size)
 
     def _find(self, u: int, v: int) -> "tuple[int, bool]":
         """Canonical position of ``(u, v)`` and whether it is present."""
-        key = u * max(self.n, 1) + v
-        pos = int(np.searchsorted(self._sortkey, key))
-        present = pos < self._sortkey.size and int(self._sortkey[pos]) == key
-        return pos, present
+        lo, hi = int(self._indptr[u]), int(self._indptr[u + 1])
+        pos = lo + int(np.searchsorted(self._heads[lo:hi], v))
+        return pos, pos < hi and int(self._heads[pos]) == v
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` is currently present."""
-        return self._find(int(u), int(v))[1]
+        u, v = int(u), int(v)
+        return 0 <= u < self.n and 0 <= v < self.n and self._find(u, v)[1]
 
     def edge_list(self) -> "list[tuple[int, int]]":
         """All current edges as ``(tail, head)`` pairs in canonical order."""
-        return list(zip(self._tails.tolist(), self._heads.tolist()))
+        tails = np.repeat(np.arange(self.n, dtype=np.int64),
+                          np.diff(self._indptr))
+        return list(zip(tails.tolist(), self._heads.tolist()))
 
-    def _splice_insert(self, pos: int, u: int, v: int, p: float,
-                       hits: np.ndarray) -> None:
-        self._tails = np.insert(self._tails, pos, np.int64(u))
-        self._heads = np.insert(self._heads, pos, np.int64(v))
-        self._probs = np.insert(self._probs, pos, np.float64(p))
-        self._sortkey = np.insert(
-            self._sortkey, pos, np.int64(u) * np.int64(max(self.n, 1)) + np.int64(v)
+    def _splice(self, overlay: "_Overlay") -> None:
+        """Apply a batch's overlay to the edge arrays in one pass.
+
+        Each array is rebuilt by contiguous segment copies of the pre-batch
+        array between the deleted positions, with the inserted edges
+        dropped into their canonical slots; ``_indptr`` moves by one
+        cumsum of the per-row count changes.
+        """
+        inserts = sorted(
+            (u, v, p, hits) for u, row in overlay.added.items()
+            for v, (p, hits) in row.items()
         )
-        self._ctails = np.insert(self._ctails, pos, self._pi[u])
-        self._cheads = np.insert(self._cheads, pos, self._pi[v])
-        self._keep = np.insert(self._keep, pos, hits, axis=1)
-        self._indptr[u + 1:] += 1
+        deletes = [(pos, u) for u, row in overlay.gone.items()
+                   for pos in row]
+        # Events in base order; an insert goes before the base edge at its
+        # position (that edge sorts after it, or is the deleted old copy),
+        # and the stable sort keeps inserts at one position in key order.
+        events = sorted(
+            [(self._find(u, v)[0], False) for u, v, _, _ in inserts]
+            + [(pos, True) for pos, _ in deletes]
+        )
+        segments: "list[tuple[int, int, int]]" = []
+        slots: "list[int]" = []
+        src = dst = 0
+        for pos, is_delete in events:
+            if pos > src:
+                segments.append((src, pos, dst))
+                dst += pos - src
+                src = pos
+            if is_delete:
+                src = pos + 1
+            else:
+                slots.append(dst)
+                dst += 1
+        m = self.m
+        if src < m:
+            segments.append((src, m, dst))
+        size = dst + m - src
 
-    def _splice_delete(self, pos: int, u: int) -> None:
-        self._tails = np.delete(self._tails, pos)
-        self._heads = np.delete(self._heads, pos)
-        self._probs = np.delete(self._probs, pos)
-        self._sortkey = np.delete(self._sortkey, pos)
-        self._ctails = np.delete(self._ctails, pos)
-        self._cheads = np.delete(self._cheads, pos)
-        self._keep = np.delete(self._keep, pos, axis=1)
-        self._indptr[u + 1:] -= 1
+        def splice(base: np.ndarray, new) -> np.ndarray:
+            out = np.empty(base.shape[:-1] + (size,), dtype=base.dtype)
+            for lo, hi, at in segments:
+                out[..., at:at + hi - lo] = base[..., lo:hi]
+            if slots:
+                out[..., slots] = new
+            return out
+
+        added_tails = np.array([e[0] for e in inserts], dtype=np.int64)
+        self._heads = splice(self._heads, [e[1] for e in inserts])
+        self._probs = splice(self._probs, [e[2] for e in inserts])
+        self._keep = splice(
+            self._keep,
+            np.array([e[3] for e in inserts], dtype=bool)
+            .reshape(len(inserts), self.r).T,
+        )
+        gone_tails = np.array([u for _, u in deletes], dtype=np.int64)
+        change = (np.bincount(added_tails + 1, minlength=self.n + 1)
+                  - np.bincount(gone_tails + 1, minlength=self.n + 1))
+        self._indptr = self._indptr + np.cumsum(change)
 
     # ------------------------------------------------------------------
     # Sample internals
@@ -379,31 +444,29 @@ class DynamicCoarsener:
     def _insert_coins(self, u: int, v: int, p: float) -> np.ndarray:
         """Boolean materialisation decisions for a new edge, one per sample."""
         if self.coins == "addressable":
-            us = np.array([u], dtype=np.int64)
-            vs = np.array([v], dtype=np.int64)
-            coins = np.array(
-                [edge_coin_uniforms(us, vs, i, self.seed)[0]
-                 for i in range(self.r)],
-                dtype=np.float64,
-            )
-            return coins < p
+            samples = np.arange(self.r, dtype=np.int64)
+            return edge_coin_uniforms([u], [v], samples, self.seed) < p
         return self._rng.random(self.r) < p
 
     def _scc_partition(self, i: int) -> Partition:
         """SCC partition of live-edge sample ``i`` (mask over canonical CSR)."""
-        keep = self._keep[i]
-        counts = np.bincount(self._tails[keep], minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return Partition(scc_labels(indptr, self._heads[keep]))
+        # Row u's live edges are the kept positions in [indptr[u],
+        # indptr[u+1]), so the live CSR's indptr counts kept positions
+        # below each base row start.
+        live = np.flatnonzero(self._keep[i])
+        return Partition(scc_labels(np.searchsorted(live, self._indptr),
+                                    self._heads[live]))
 
-    def _sample_reaches(self, i: int, src: int, dst: int) -> "bool | None":
+    def _sample_reaches(self, i: int, src: int, dst: int,
+                        overlay: "_Overlay") -> "bool | None":
         """Does ``src`` reach ``dst`` in live sample ``i``?
 
-        ``None`` means the probe visited more than ``_REACH_CAP`` vertices
-        and gave up — the caller must fall back to a full recomputation.
-        Live samples of influence graphs are sparse (expected out-degree
-        ``sum(p)/n``), so forward closures are tiny in the common case.
+        Reads the pre-batch CSR through ``overlay``, i.e. the sample as
+        the batch has left it so far.  ``None`` means the probe visited
+        more than ``_REACH_CAP`` vertices and gave up — the caller must
+        fall back to a full recomputation.  Live samples of influence
+        graphs are sparse (expected out-degree ``sum(p)/n``), so forward
+        closures are tiny in the common case.
         """
         keep = self._keep[i]
         indptr = self._indptr
@@ -414,9 +477,16 @@ class DynamicCoarsener:
             next_frontier: "list[int]" = []
             for w in frontier:
                 lo, hi = int(indptr[w]), int(indptr[w + 1])
-                if hi == lo:
-                    continue
-                for h in heads[lo:hi][keep[lo:hi]].tolist():
+                live = keep[lo:hi]
+                gone = overlay.gone.get(w)
+                if gone:
+                    live = live.copy()
+                    live[np.asarray(gone) - lo] = False
+                out = heads[lo:hi][live].tolist()
+                added = overlay.added.get(w)
+                if added:
+                    out += [h for h, (_, hits) in added.items() if hits[i]]
+                for h in out:
                     if h == dst:
                         return True
                     if h not in seen:
@@ -453,11 +523,15 @@ class DynamicCoarsener:
         self._pi = partition.labels
         self._nb = partition.n_blocks
         self._weights = partition.block_sizes()
-        self._ctails = self._pi[self._tails]
-        self._cheads = self._pi[self._heads]
-        cross = self._ctails != self._cheads
+        # Block members in ascending vertex order, for _patch_bundle.
+        self._members = np.argsort(self._pi, kind="stable")
+        self._member_ptr = np.zeros(self._nb + 1, dtype=np.int64)
+        np.cumsum(self._weights, out=self._member_ptr[1:])
+        ctails = np.repeat(self._pi, np.diff(self._indptr))
+        cheads = self._pi[self._heads]
+        cross = ctails != cheads
         ct, ch, cq = combine_parallel_edges(
-            self._ctails[cross], self._cheads[cross], self._probs[cross]
+            ctails[cross], cheads[cross], self._probs[cross]
         )
         self._cq_tails = np.ascontiguousarray(ct, dtype=np.int64)
         self._cq_heads = np.ascontiguousarray(ch, dtype=np.int64)
@@ -470,10 +544,10 @@ class DynamicCoarsener:
         """``1 - prod(1 - p)`` over one bundle's members, canonical order.
 
         Runs :func:`repro.graph.builder.combine_parallel_edges` on the
-        bundle alone: members arrive in canonical original-edge order (its
-        stable sort keeps that order within a bundle), so the maintained
-        ``q`` is bit-for-bit what a static contraction would produce,
-        including ``q == p`` for a single-member bundle.
+        bundle alone: members arrive in canonical original-edge order (the
+        contraction's combine sums each bundle in that order too), so the
+        maintained ``q`` is bit-for-bit what a static contraction would
+        produce, including ``q == p`` for a single-member bundle.
         """
         zeros = np.zeros(probs.size, dtype=np.int64)
         return float(combine_parallel_edges(zeros, zeros, probs)[2][0])
@@ -481,12 +555,15 @@ class DynamicCoarsener:
     def _patch_bundle(self, cu: int, cv: int) -> bool:
         """Recompute bundle ``(cu, cv)`` from its current member edges.
 
-        Fast-path only (``pi`` unchanged).  Returns True when the coarse
-        graph actually changed — a bundle appeared, vanished, or had its
-        ``q`` change bitwise.
+        Fast-path only (``pi`` unchanged).  The members are read from the
+        out-rows of block ``cu``'s vertices in ascending order, i.e. in
+        canonical edge order.  Returns True when the coarse graph actually
+        changed — a bundle appeared, vanished, or had its ``q`` change
+        bitwise.
         """
-        members = (self._ctails == cu) & (self._cheads == cv)
-        probs = self._probs[members]
+        verts = self._members[self._member_ptr[cu]:self._member_ptr[cu + 1]]
+        rows = gather_ranges(self._indptr[verts], self._indptr[verts + 1])
+        probs = self._probs[rows[self._pi[self._heads[rows]] == cv]]
         key = cu * max(self._nb, 1) + cv
         pos = int(np.searchsorted(self._cq_sortkey, key))
         exists = (pos < self._cq_sortkey.size
@@ -553,7 +630,8 @@ class DynamicCoarsener:
                     raise CoarseningError(f"edge ({u}, {v}) not present")
                 overlay[(u, v)] = False
 
-    def _update_sample_after_insert(self, i: int, u: int, v: int) -> bool:
+    def _update_sample_after_insert(self, i: int, u: int, v: int,
+                                    overlay: "_Overlay") -> bool:
         """Assess sample ``i`` after a materialised insert; True when its
         SCCs need recomputation (the caller defers it to the batch end)."""
         labels = self._comps[i].labels
@@ -563,7 +641,7 @@ class DynamicCoarsener:
             self.stats.scc_skipped += 1
             self.stats.scc_pruned += 1
             return False
-        reaches = self._sample_reaches(i, v, u)
+        reaches = self._sample_reaches(i, v, u, overlay)
         if reaches is False:
             # No live path v ~> u, so u -> v closes no cycle: the sample
             # gains reachability but its SCCs are exactly as before.
@@ -590,9 +668,10 @@ class DynamicCoarsener:
         """Apply a batch of edge mutations (Algorithm 7, batched).
 
         The batch is validated up front (all-or-nothing), pruning checks
-        run per materialised delta (see the module docstring), and all the
-        SCC recomputations the checks could not prune are deferred and run
-        **once** per dirty sample against the final masks.  The
+        run per materialised delta (see the module docstring) against the
+        pre-batch arrays plus the batch's overlay, the edge arrays are
+        spliced once, and all the SCC recomputations the checks could not
+        prune run **once** per dirty sample against the final masks.  The
         partition/bundle state is likewise repaired once at the end: a
         single ``_rebuild_from_components`` if any sample's partition
         changed, else one exact recompute per touched coarse bundle.
@@ -617,26 +696,30 @@ class DynamicCoarsener:
         # heads straight to the deferred recomputation.
         dirty: "dict[int, None]" = {}
         touched: "dict[tuple[int, int], None]" = {}
+        overlay = _Overlay()
         for d in deltas:
             u, v = int(d.u), int(d.v)
             if d.op == "insert":
                 p = float(d.p)  # type: ignore[arg-type]
                 self.stats.insertions += 1
                 hits = self._insert_coins(u, v, p)
-                pos, _ = self._find(u, v)
-                self._splice_insert(pos, u, v, p, hits)
+                overlay.added.setdefault(u, {})[v] = (p, hits)
                 for i in range(self.r):
                     if not hits[i]:
                         self.stats.scc_skipped += 1
                     elif i in dirty:
                         self.stats.scc_recomputations += 1
-                    elif self._update_sample_after_insert(i, u, v):
+                    elif self._update_sample_after_insert(i, u, v, overlay):
                         dirty[i] = None
             else:
                 self.stats.deletions += 1
-                pos, _ = self._find(u, v)
-                kept = self._keep[:, pos].copy()
-                self._splice_delete(pos, u)
+                row = overlay.added.get(u)
+                if row is not None and v in row:
+                    kept = row.pop(v)[1]
+                else:
+                    pos = self._find(u, v)[0]
+                    overlay.gone.setdefault(u, []).append(pos)
+                    kept = self._keep[:, pos]
                 for i in range(self.r):
                     if not kept[i]:
                         self.stats.scc_skipped += 1
@@ -645,6 +728,7 @@ class DynamicCoarsener:
                     elif self._update_sample_after_delete(i, u, v):
                         dirty[i] = None
             touched[(int(self._pi[u]), int(self._pi[v]))] = None
+        self._splice(overlay)
         changed = self._refresh_samples(list(dirty)) if dirty else False
         coarse_changed = False
         if changed:
@@ -675,7 +759,7 @@ class DynamicCoarsener:
         if self._graph_cache is not None and self._graph_cache[0] == self._version:
             return self._graph_cache[1]
         graph = InfluenceGraph(
-            self._indptr.copy(), self._heads.copy(), self._probs.copy(),
+            self._indptr, self._heads, self._probs,
             validate=False,  # library-maintained arrays, invariants upheld
         )
         self._graph_cache = (self._version, graph)

@@ -117,15 +117,17 @@ def powerlaw_social_graph(
                 heads.append(v)
     for t in range(out_degree + 1, n):
         raw = rng.integers(0, len(pool), size=out_degree)
-        targets = {pool[i] for i in raw.tolist()}
         # Sorted: set iteration order is a CPython implementation detail,
-        # and the reciprocity draws below consume the rng in target order.
-        for v in sorted(targets):
+        # and the reciprocity coins are drawn in target order (one batch:
+        # the same doubles as one scalar draw per target).
+        targets = sorted({pool[i] for i in raw.tolist()})
+        mutual = (rng.random(len(targets)) < reciprocity).tolist()
+        for v, back in zip(targets, mutual):
             tails.append(t)
             heads.append(v)
             pool.append(v)
             pool.append(t)
-            if rng.random() < reciprocity:
+            if back:
                 tails.append(v)
                 heads.append(t)
     builder = GraphBuilder(n=n)

@@ -33,7 +33,11 @@ def combine_parallel_edges(
     Each ``(tail, head)`` is packed into one int64 key
     ``tail * width + head`` with ``width = max head + 1``, so a negative id
     (which would alias another edge's key) or ids whose square overflows
-    int64 raise :class:`GraphFormatError`.
+    int64 raise :class:`GraphFormatError`.  The keys are ordered by
+    numpy's default (unstable) sort; only the copies of keys that occur
+    more than once are then put back in input order, by one sort of
+    ``position << b | input index`` keys, which raises
+    :class:`GraphFormatError` past ``2**31`` edges.
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
@@ -44,7 +48,7 @@ def combine_parallel_edges(
         raise GraphFormatError("vertex ids must be non-negative")
     width = int(heads.max()) + 1
     check_key_space(max(int(tails.max()) + 1, width))
-    keys, probs, _ = sort_edge_keys(tails * width + heads, probs)
+    keys, order = sort_edge_keys(tails * width + heads)
     boundary = np.empty(keys.size, dtype=bool)
     boundary[0] = True
     np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
@@ -53,8 +57,14 @@ def combine_parallel_edges(
     heads = keys - tails * width
     del keys
     if tails.size == probs.size:
-        return tails, heads, probs
+        return tails, heads, probs if order is None else probs[order]
     starts = np.flatnonzero(boundary)
+    sizes = np.diff(starts, append=probs.size)
+    multi = sizes > 1
+    if order is not None:
+        _restore_input_order(order, starts[multi], sizes[multi])
+        probs = probs[order]
+        del order
     group = np.cumsum(boundary) - 1
     del boundary
     # Accumulate log(1 - p) per group; exact for p < 1, and p == 1 forces the
@@ -64,11 +74,33 @@ def combine_parallel_edges(
         sum_log = np.bincount(group, weights=np.log1p(-probs),
                               minlength=starts.size)
     del group
-    multi = np.diff(starts, append=probs.size) > 1
     combined = probs[starts]
     combined[multi] = np.clip(-np.expm1(sum_log[multi]),
                               np.nextafter(0.0, 1.0), 1.0)
     return tails, heads, combined
+
+
+def _restore_input_order(order: np.ndarray, starts: np.ndarray,
+                         sizes: np.ndarray) -> None:
+    """Sort ``order`` within each run ``[start, start + size)``, in place.
+
+    The runs are the copies of one key after an unstable sort; ascending
+    input indices within each run is what a stable sort would have given.
+    """
+    total = order.size
+    shift = max(total - 1, 0).bit_length()
+    if total > 1 << (62 - shift):
+        raise GraphFormatError(
+            f"{total} edges overflow the int64 copy-order keys"
+        )
+    positions = np.repeat(starts, sizes)
+    members = positions + (np.arange(positions.size, dtype=np.int64)
+                           - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    packed = np.left_shift(positions, shift)
+    packed |= order[members]
+    packed.sort()
+    packed &= (1 << shift) - 1
+    order[members] = packed
 
 
 class GraphBuilder:

@@ -39,23 +39,18 @@ def check_key_space(n: int) -> None:
         )
 
 
-def sort_edge_keys(
-    keys: np.ndarray, probs: np.ndarray, stable: bool = True
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """``(keys, probs, moved)`` in non-decreasing key order.
+def sort_edge_keys(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray | None]":
+    """``(keys, order)`` with ``keys`` in non-decreasing order.
 
-    Keys already in order come back as given with ``moved`` False.
-    Otherwise one argsort orders the keys and only ``probs`` is gathered
-    through it.  A stable sort keeps copies of one key in input order;
-    distinct keys may pass ``stable=False`` for numpy's faster default
-    sort, which orders them the same way.
+    Keys already in order come back as given with ``order`` None.
+    Otherwise one argsort (numpy's default, unstable) orders them and
+    ``order`` is the permutation, for the caller to gather the arrays it
+    needs; copies of one key may come out in any order.
     """
     if keys.size < 2 or not (keys[1:] < keys[:-1]).any():
-        return keys, probs, False
-    order = np.argsort(keys, kind="stable" if stable else None)
-    keys = keys[order]
-    probs = probs[order]
-    return keys, probs, True
+        return keys, None
+    order = np.argsort(keys)
+    return keys[order], order
 
 
 class InfluenceGraph:
@@ -140,13 +135,14 @@ class InfluenceGraph:
         check_key_space(n)
         # A valid edge set has distinct keys, and a duplicate is caught
         # below whatever the order of its copies.
-        keys, probs, moved = sort_edge_keys(tails * n + heads, probs,
-                                            stable=False)
+        keys, order = sort_edge_keys(tails * n + heads)
         if keys.size > 1 and (keys[1:] == keys[:-1]).any():
             raise GraphFormatError(
                 "duplicate edges present; combine them with GraphBuilder"
             )
-        if moved:
+        if order is not None:
+            probs = probs[order]
+            del order
             tails = keys // n
             heads = keys - tails * n
         del keys

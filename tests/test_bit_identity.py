@@ -319,3 +319,83 @@ class TestCoarseningPins:
             1622, 1972, 2130, 2238, 2330, 2403, 2443, 2471]
         assert _digest([p.labels for p in chain]) == (
             "2f1668e40c7a27788fac594c4f172c5f")
+
+
+@pytest.fixture(scope="module")
+def twitter_tri():
+    """A 1,500-vertex twitter-like graph (the registry's twitter-2010
+    generator parameters), TRI probabilities."""
+    graph = assign_trivalency(powerlaw_social_graph(
+        1500, out_degree=16, reciprocity=0.3, rich_club_fraction=0.12,
+        rich_club_degree=90, rng=0), rng=1)
+    assert graph.digest() == "3af1439bb51ee8644a71dbc057ae754f"
+    return graph
+
+
+def _churn_schedule(graph, batches: int = 20,
+                    size: int = 8) -> "list[list[Delta]]":
+    """Batches of inserts towards in-degree-skewed heads (TRI p, a quarter
+    of them strong ties), deletes of original edges and deletes of edges
+    an earlier delta inserted."""
+    rng = np.random.default_rng(4)
+    tails, heads, _ = graph.edge_arrays()
+    present = set(zip(tails.tolist(), heads.tolist()))
+    inserted: "list[tuple[int, int]]" = []
+    schedule = []
+    for _ in range(batches):
+        batch: "list[Delta]" = []
+        while len(batch) < size:
+            roll = rng.random()
+            if roll < 0.25 and inserted:
+                u, v = inserted.pop(int(rng.integers(len(inserted))))
+                batch.append(Delta("delete", u, v))
+                present.discard((u, v))
+            elif roll < 0.45:
+                j = int(rng.integers(graph.m))
+                u, v = int(tails[j]), int(heads[j])
+                if (u, v) in present:
+                    batch.append(Delta("delete", u, v))
+                    present.discard((u, v))
+            else:
+                u = int(rng.integers(graph.n))
+                v = int(heads[rng.integers(graph.m)])
+                if u != v and (u, v) not in present:
+                    p = (float(rng.uniform(0.3, 0.9)) if rng.random() < 0.25
+                         else (0.1, 0.01, 0.001)[int(rng.integers(3))])
+                    batch.append(Delta("insert", u, v, p))
+                    present.add((u, v))
+                    inserted.append((u, v))
+        schedule.append(batch)
+    return schedule
+
+
+class TestDynamicSchedulePins:
+    """Recorded at commit 7d5094b, while every delta spliced the edge
+    arrays itself: 20 batches of 8 deltas (97 inserts, 63 deletes) at
+    r=16.  The batch overlay and its single splice must move neither the
+    maintained model nor one counter."""
+
+    @pytest.mark.parametrize("coins, expected, stats", [
+        ("stream",
+         (1365, "9e2a236f7f1e0f5a4904248c414a5430",
+          "9e2a236f7f1e0f5a4904248c414a5430",
+          "b6f67ecfa5c660790b4b4040e7bf6996"),
+         dict(insertions=97, deletions=63, scc_recomputations=42,
+              scc_skipped=2518, scc_pruned=291, full_rebuilds=7,
+              fast_updates=104)),
+        ("addressable",
+         (1365, "97a723014f6dc6e2868bb9c1bc1ebcff",
+          "97a723014f6dc6e2868bb9c1bc1ebcff",
+          "761f135544dfb6887bed19c6439b28af"),
+         dict(insertions=97, deletions=63, scc_recomputations=51,
+              scc_skipped=2509, scc_pruned=274, full_rebuilds=14,
+              fast_updates=48)),
+    ])
+    def test_churn_schedule(self, twitter_tri, coins, expected, stats):
+        dyn = DynamicCoarsener(twitter_tri, r=16, rng=5, coins=coins)
+        for batch in _churn_schedule(twitter_tri):
+            dyn.apply_deltas(batch)
+        assert _coarsening_digests(dyn.snapshot()) == expected
+        assert dyn.stats.as_dict() == stats
+        assert dyn.current_graph().digest() == (
+            "8f52bf7fa5dfafd9a0b67284a3e1255a")

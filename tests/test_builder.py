@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import GraphBuilder, InfluenceGraph, combine_parallel_edges
+from repro.graph.builder import _restore_input_order
 from repro.graph.influence_graph import check_key_space
 
 
@@ -53,6 +54,30 @@ class TestCombineParallelEdges:
         empty = np.empty(0, dtype=np.int64)
         t, h, p = combine_parallel_edges(empty, empty, np.empty(0))
         assert t.size == h.size == p.size == 0
+
+    def test_copies_summed_in_input_order(self):
+        # ~12 shuffled copies of each key: the unstable sort must not
+        # reorder a group's log terms (float addition is not associative).
+        rng = np.random.default_rng(1)
+        tails = rng.integers(0, 40, size=20_000)
+        heads = rng.integers(0, 40, size=20_000)
+        probs = rng.uniform(0.01, 0.99, size=20_000)
+        t, h, p = combine_parallel_edges(tails, heads, probs)
+        sums: dict[tuple[int, int], float] = {}
+        for u, v, term in zip(tails.tolist(), heads.tolist(),
+                              np.log1p(-probs).tolist()):
+            sums[(u, v)] = sums.get((u, v), 0.0) + term
+        expected = [sums[(u, v)] for u, v in zip(t.tolist(), h.tolist())]
+        assert p.tobytes() == (-np.expm1(expected)).tobytes()
+
+    def test_copy_order_key_overflow_raises(self):
+        # Restoring input order packs ``position << b | index``; 2**32
+        # edges need 32 bits for each, past int64.  A zero-stride view
+        # stands in for the order array: the size check reads nothing.
+        order = np.broadcast_to(np.int64(0), (1 << 32,))
+        with pytest.raises(GraphFormatError, match="overflow"):
+            _restore_input_order(order, np.zeros(1, dtype=np.int64),
+                                 np.full(1, 2, dtype=np.int64))
 
     def test_random_against_brute_force(self):
         rng = np.random.default_rng(0)

@@ -85,6 +85,15 @@ class TestDelete:
         with pytest.raises(CoarseningError, match="not present"):
             dyn.delete_edge(0, 8)
 
+    @pytest.mark.parametrize("u, v", [(0, 9), (9, 0), (-1, 8), (0, -9)])
+    def test_delete_out_of_range_rejected(self, paper_graph, u, v):
+        # (0, 9) would pack to the key of edge (1, 0) on 9 vertices.
+        dyn = DynamicCoarsener(paper_graph, r=2, rng=0)
+        assert not dyn.has_edge(u, v)
+        with pytest.raises(CoarseningError, match="not present"):
+            dyn.delete_edge(u, v)
+        assert dyn.current_graph() == paper_graph
+
     def test_insert_then_delete_roundtrip(self, paper_graph):
         dyn = DynamicCoarsener(paper_graph, r=4, rng=1)
         dyn.insert_edge(6, 0, 0.35)
@@ -262,28 +271,129 @@ class TestAddressableCoins:
             DynamicCoarsener(paper_graph, r=2, rng=0, coins="laplace")
 
 
+def _apply_one_by_one(dyn: DynamicCoarsener, deltas) -> None:
+    for d in deltas:
+        if d.op == "insert":
+            dyn.insert_edge(d.u, d.v, d.p)
+        else:
+            dyn.delete_edge(d.u, d.v)
+
+
+def assert_batch_matches_sequential(graph, deltas, r=4, rng=3,
+                                    coins="addressable") -> DynamicCoarsener:
+    """One batch and the same deltas one by one reach the same state:
+    graph, keep matrix, sample partitions, ``H``, ``pi`` and the cold
+    reference.  Their counters may differ (a batch defers and merges
+    recomputations), so each case pins the batch's own."""
+    batched = DynamicCoarsener(graph, r=r, rng=rng, coins=coins)
+    sequential = DynamicCoarsener(graph, r=r, rng=rng, coins=coins)
+    out = batched.apply_deltas(deltas)
+    _apply_one_by_one(sequential, deltas)
+    assert out["applied"] == len(deltas)
+    assert batched.current_graph() == sequential.current_graph()
+    assert np.array_equal(batched._keep, sequential._keep)
+    assert batched._comps == sequential._comps
+    snap, seq = batched.snapshot(), sequential.snapshot()
+    assert snap.coarse.digest() == seq.coarse.digest()
+    assert np.array_equal(snap.pi, seq.pi)
+    assert snap.partition == seq.partition
+    assert_matches_reference(batched)
+    if coins == "addressable":
+        cold = coarsen_addressable(batched.current_graph(), r=r, seed=rng)
+        assert snap.coarse.digest() == cold.coarse.digest()
+        assert np.array_equal(snap.pi, cold.pi)
+    return batched
+
+
+def _stats(dyn: DynamicCoarsener) -> "tuple[int, ...]":
+    """Every DynamicStats field.  The cases' pins were recorded while each
+    delta still spliced the edge arrays itself; the overlay that replaced
+    it must not move a counter."""
+    s = dyn.stats
+    return (s.insertions, s.deletions, s.scc_recomputations, s.scc_skipped,
+            s.scc_pruned, s.full_rebuilds, s.fast_updates)
+
+
+def _path_graph(n: int) -> InfluenceGraph:
+    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def _broom_graph() -> InfluenceGraph:
+    """Vertex 1 points at 700 leaves 2..701; vertex 0 is reached by none,
+    so a probe for a path back to 0 out of 1 visits past ``_REACH_CAP``."""
+    return build_graph(702, [(1, leaf, 1.0) for leaf in range(2, 702)])
+
+
 class TestBatchedDeltas:
     def test_batch_matches_sequential_application(self, paper_graph):
-        batched = DynamicCoarsener(paper_graph, r=4, rng=3,
-                                   coins="addressable")
-        sequential = DynamicCoarsener(paper_graph, r=4, rng=3,
-                                      coins="addressable")
         deltas = [
             Delta("insert", 0, 8, 0.6),
             Delta("delete", 0, 1),
             Delta("insert", 6, 0, 0.3),
         ]
-        out = batched.apply_deltas(deltas)
-        for d in deltas:
-            if d.op == "insert":
-                sequential.insert_edge(d.u, d.v, d.p)
-            else:
-                sequential.delete_edge(d.u, d.v)
-        assert out["applied"] == 3
-        assert batched.current_graph() == sequential.current_graph()
-        assert (batched.snapshot().coarse.digest()
-                == sequential.snapshot().coarse.digest())
-        assert np.array_equal(batched.snapshot().pi, sequential.snapshot().pi)
+        batched = assert_batch_matches_sequential(paper_graph, deltas)
+        assert _stats(batched) == (2, 1, 4, 8, 2, 1, 0)
+
+    def test_insert_then_delete_of_one_edge(self, paper_graph):
+        deltas = [
+            Delta("insert", 0, 8, 0.9),
+            Delta("insert", 4, 0, 0.8),
+            Delta("delete", 0, 8),
+            Delta("delete", 1, 3),
+        ]
+        batched = assert_batch_matches_sequential(paper_graph, deltas)
+        assert not batched.has_edge(0, 8)
+        assert _stats(batched) == (2, 2, 0, 16, 14, 0, 4)
+
+    def test_delete_then_reinsert_with_new_probability(self, paper_graph):
+        deltas = [
+            Delta("delete", 0, 1),
+            Delta("delete", 5, 6),
+            Delta("insert", 0, 1, 0.95),
+        ]
+        batched = assert_batch_matches_sequential(paper_graph, deltas)
+        tails, heads, probs = batched.current_graph().edge_arrays()
+        at = int(np.flatnonzero((tails == 0) & (heads == 1))[0])
+        assert probs[at] == 0.95
+        assert _stats(batched) == (1, 2, 6, 6, 1, 1, 0)
+
+    def test_later_delete_breaks_the_path_an_insert_probe_found(self):
+        # 3 -> 0 closes the cycle 0 -> 1 -> 2 -> 3 in every sample, so its
+        # probe marks them all dirty; the delete of 1 -> 2 then opens the
+        # cycle again and the deferred recomputation finds no change.
+        deltas = [Delta("insert", 3, 0, 1.0), Delta("delete", 1, 2)]
+        batched = assert_batch_matches_sequential(_path_graph(5), deltas)
+        assert _stats(batched) == (1, 1, 8, 0, 0, 0, 2)
+
+    def test_probe_sees_earlier_deletes_and_inserts(self):
+        # The first insert's probe must not walk the deleted 1 -> 2; the
+        # second's must walk the inserted 1 -> 4.
+        deltas = [
+            Delta("delete", 1, 2),
+            Delta("insert", 3, 0, 1.0),
+            Delta("insert", 1, 4, 1.0),
+            Delta("insert", 4, 0, 1.0),
+        ]
+        batched = assert_batch_matches_sequential(_path_graph(5), deltas)
+        assert _stats(batched) == (3, 1, 4, 12, 12, 1, 0)
+
+    def test_probe_past_reach_cap_falls_back(self):
+        deltas = [
+            Delta("insert", 0, 1, 1.0),   # probe 1 ~> 0 gives up: dirty
+            Delta("delete", 1, 7),
+            Delta("insert", 5, 0, 1.0),   # closes 0 -> 1 -> 5 -> 0
+        ]
+        batched = assert_batch_matches_sequential(_broom_graph(), deltas,
+                                                  r=3)
+        assert _stats(batched) == (2, 1, 9, 0, 0, 1, 0)
+
+    def test_stream_coins(self, paper_graph):
+        deltas = [Delta("delete", 1, 2), Delta("insert", 8, 0, 0.7),
+                  Delta("insert", 2, 5, 0.9), Delta("delete", 8, 0),
+                  Delta("insert", 1, 2, 0.75), Delta("delete", 3, 4)]
+        batched = assert_batch_matches_sequential(paper_graph, deltas, r=6,
+                                                  rng=9, coins="stream")
+        assert _stats(batched) == (3, 3, 9, 27, 18, 1, 0)
 
     def test_batch_is_atomic_on_validation_failure(self, paper_graph):
         dyn = DynamicCoarsener(paper_graph, r=4, rng=0)

@@ -2,19 +2,19 @@
 
 A Hypothesis :class:`RuleBasedStateMachine` drives a live
 :class:`~repro.serve.DynamicModel` through random insert / delete /
-estimate / maximize steps and, after *every* step, checks the maintained
-model against a cold :func:`repro.core.coarsen_addressable` of the
-mutated graph with the same seed:
+mixed-batch / estimate / maximize steps and, after *every* step, checks
+the maintained model against a cold :func:`repro.core.coarsen_addressable`
+of the mutated graph with the same seed:
 
 * ``H`` bit-for-bit (CSR digest covers heads, probs and vertex weights —
   i.e. every coarse edge bundle probability),
 * ``pi`` element-for-element and the partition itself,
 * query answers equal to those of a *fresh* service over the mutated
   graph (so the whole pool/estimator path agrees, not just the model),
-* pruning accounting: every mutation touches each of the ``r`` samples
-  exactly once — as a coin-flip skip, a structure-preserving pruned hit
-  (counted inside ``scc_skipped``, broken out as ``scc_pruned``), or an
-  SCC recomputation — so
+* pruning accounting: every mutation, alone or in a batch, touches each
+  of the ``r`` samples exactly once — as a coin-flip skip, a
+  structure-preserving pruned hit (counted inside ``scc_skipped``, broken
+  out as ``scc_pruned``), or an SCC recomputation — so
   ``scc_skipped + scc_recomputations == r * (insertions + deletions)``.
 
 The suite carries ``@pytest.mark.dynamic``; CI runs it in a dedicated
@@ -33,7 +33,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import coarsen_addressable
+from repro.core import Delta, coarsen_addressable
 from repro.serve import InfluenceService, ServiceConfig
 from .conftest import random_graph
 
@@ -94,6 +94,35 @@ class DynamicDifferentialMachine(RuleBasedStateMachine):
         out = self.dynamic.delete_edge(u, v)
         del self.edges[(u, v)]
         assert out["applied"] == 1
+
+    @rule(data=st.data(), size=st.integers(min_value=2, max_value=6))
+    def apply_batch(self, data, size: int) -> None:
+        """One batch of mixed deltas; a later delta may undo, re-insert or
+        re-weight an edge an earlier one touched."""
+        edges = dict(self.edges)
+        deltas = []
+        for _ in range(size):
+            absent = sorted(
+                (u, v)
+                for u in range(N_VERTICES) for v in range(N_VERTICES)
+                if u != v and (u, v) not in edges
+            )
+            if edges and (not absent
+                          or data.draw(st.booleans(), label="delete")):
+                u, v = data.draw(st.sampled_from(sorted(edges)),
+                                 label="victim")
+                del edges[(u, v)]
+                deltas.append(Delta("delete", u, v))
+                continue
+            u, v = data.draw(st.sampled_from(absent), label="new edge")
+            p = data.draw(st.floats(min_value=0.05, max_value=1.0),
+                          label="p")
+            edges[(u, v)] = p
+            deltas.append(Delta("insert", u, v, p))
+        out = self.dynamic.apply_deltas(deltas)
+        self.edges = edges
+        assert out["applied"] == size
+        assert out["epoch"] == self.dynamic.epoch
 
     # -- queries -------------------------------------------------------
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import coarsen_influence_graph
 from repro.datasets import load_dataset
+from repro.datasets.generators import powerlaw_social_graph
 
 # (dataset, setting) -> (n, m, |W|, |F|) at r=16, topology seed 0, coarsen
 # seed 0.  Table 3's measured values come from exactly these runs.
@@ -41,6 +42,16 @@ def test_pinned_coarsening_output(key):
     assert (result.coarse.n, result.coarse.m) == (w, f), (
         "coarsening output drifted"
     )
+
+
+def test_pinned_powerlaw_social_graph():
+    """The twitter-like generator's exact draw (recorded at commit 7d5094b,
+    when each reciprocity coin was its own scalar ``rng.random()``)."""
+    graph = powerlaw_social_graph(3000, out_degree=16, reciprocity=0.3,
+                                  rich_club_fraction=0.12,
+                                  rich_club_degree=90, rng=0)
+    assert (graph.n, graph.m) == (3000, 109276)
+    assert graph.digest() == "b4936fb5219bd52f0b31afb6790d6e9a"
 
 
 def test_pinned_paper_example_q():
