@@ -21,8 +21,10 @@ Acceptance (asserted whenever artefacts are written): sketch-oracle QPS
 ``asserted``/``skip_reason`` pair when the gate cannot be measured (quick
 mode, or sketch timing below timer resolution).  The equality and
 accuracy assertions are ALWAYS on, in both modes: served answers equal
-direct oracle answers bit-for-bit, and each sweep point keeps at least
-``1 - delta`` of vertices inside its advertised envelope.  Results land
+direct oracle answers bit-for-bit, the served guarantee report's rho and
+eps equal a sequential ``guarantee_report`` of the same model, and each
+sweep point keeps at least ``1 - delta`` of vertices inside its
+advertised envelope.  Results land
 in ``benchmarks/results/sketch.json`` and the repo-root
 ``BENCH_sketch.json``.
 
@@ -39,9 +41,11 @@ import time
 
 import numpy as np
 
+from repro.analysis import guarantee_report
 from repro.bench import render_table, save_json
 from repro.core import coarsen_influence_graph
 from repro.diffusion.reachability import reachable_mask
+from repro.graph import InfluenceGraph
 from repro.rng import ensure_rng
 from repro.serve import InfluenceService, SamplePool, ServiceConfig
 from repro.sketch import InfluenceOracle, round_masks, sketch_eps
@@ -59,6 +63,7 @@ QUICK_N, QUICK_M = 2_000, 8_000
 QUICK_QUERIES = 40
 SWEEP_KS = (8, 16, 32, 64, 128)
 SWEEP_N, SWEEP_M = 600, 3_000
+CORE_N = 24
 QPS_GATE = 100.0
 
 ROOT_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -168,19 +173,44 @@ def _throughput(graph, queries: int) -> dict:
     }
 
 
+def _with_dense_core(graph):
+    """``graph`` with its first ``CORE_N`` vertices wired into a dense core
+    (p in [0.1, 0.25]) that the coarsening merges: its guarantee report
+    then estimates a reliability strictly inside (0, 1) by Monte Carlo."""
+    tails, heads, probs = graph.edge_arrays()
+    outside = (tails >= CORE_N) | (heads >= CORE_N)
+    core_tails, core_heads = np.nonzero(~np.eye(CORE_N, dtype=bool))
+    core_probs = ensure_rng(1).uniform(0.1, 0.25, core_tails.size)
+    return InfluenceGraph.from_edges(
+        graph.n, np.concatenate([tails[outside], core_tails]),
+        np.concatenate([heads[outside], core_heads]),
+        np.concatenate([probs[outside], core_probs]))
+
+
 def _serving_equality(graph) -> bool:
-    """Served ``estimator='sketch'`` answers == direct oracle answers."""
+    """Served ``estimator='sketch'`` answers == direct oracle answers, and
+    the served guarantee report (stated beside the oracle build) has the
+    rho and eps of a sequential ``guarantee_report`` of the same model."""
     config = ServiceConfig(r=R, seed=0, estimator="sketch",
                            sketch_k=SKETCH_K, sketch_delta=DELTA)
     seed_sets = [[0], [1, 2], [3, 4, 5]]
     with InfluenceService(config) as svc:
-        served = [svc.estimate(graph, seeds).value for seeds in seed_sets]
+        served = [svc.estimate(graph, seeds) for seeds in seed_sets]
         model = svc.model_for(graph)
     oracle = InfluenceOracle(model.coarse, r=R, k=SKETCH_K,
                              rng=ensure_rng(config.seed))
-    for seeds, value in zip(seed_sets, served):
+    for seeds, result in zip(seed_sets, served):
         mapped = np.unique(model.pi[np.asarray(seeds)])
-        assert value == oracle.estimate(model.coarse, mapped), seeds
+        assert result.value == oracle.estimate(model.coarse, mapped), seeds
+    sequential = guarantee_report(
+        graph, model, estimation_eps=min(1.0, sketch_eps(SKETCH_K, DELTA)),
+        n_samples=config.report_samples, rng=ensure_rng(config.seed))
+    for result in served:
+        assert result.report.reliability_product \
+            == sequential.reliability_product
+        assert result.report.estimation_eps == sequential.estimation_eps
+    print(f"served report: rho = {sequential.reliability_product:.4f} over "
+          f"{sequential.non_singleton_blocks} merged blocks")
     return True
 
 
@@ -224,7 +254,7 @@ def generate(quick: bool = False) -> dict:
     graph = generated_graph(n, m)
 
     throughput = _throughput(graph, queries)
-    serving_ok = _serving_equality(graph)
+    serving_ok = _serving_equality(_with_dense_core(graph))
     sweep = _accuracy_sweep()
 
     qps = throughput["queries_per_second"]
@@ -270,7 +300,8 @@ def generate(quick: bool = False) -> dict:
     built = throughput["oracle"]
     print(f"oracle build (coarse n={built['coarse_n']:,}): "
           f"{built['build_seconds']:.3f} s")
-    print(f"served == direct oracle (bit-for-bit): {serving_ok}; "
+    print(f"served == direct oracle and served report == sequential "
+          f"report (bit-for-bit): {serving_ok}; "
           f"QPS gate asserted: {asserted}"
           + (f" ({skip_reason})" if skip_reason else ""))
 

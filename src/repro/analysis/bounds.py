@@ -60,6 +60,7 @@ def guarantee_report(
     maximization_alpha: float = 1.0 - 1.0 / math.e,
     n_samples: int = 2_000,
     rng=None,
+    subgraphs: "list[InfluenceGraph] | None" = None,
 ) -> GuaranteeReport:
     """Estimate ``rho`` for ``result`` and instantiate Theorems 6.1/6.2.
 
@@ -74,9 +75,14 @@ def guarantee_report(
     n_samples:
         Monte-Carlo samples per non-singleton block for the reliability
         estimate.
+    subgraphs:
+        The blocks' induced subgraphs
+        (:func:`~repro.analysis.reliability.block_subgraphs`) when the
+        caller has cut them already; the report is the same.
     """
     rho = reliability_product(
-        graph, result.partition, n_samples=n_samples, rng=rng
+        graph, result.partition, n_samples=n_samples, rng=rng,
+        subgraphs=subgraphs,
     )
     return GuaranteeReport(
         reliability_product=rho,

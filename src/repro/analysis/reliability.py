@@ -30,6 +30,7 @@ from ..rng import ensure_rng
 from ..scc import scc_labels
 
 __all__ = [
+    "block_subgraphs",
     "exact_reliability",
     "estimate_reliability",
     "max_scc_rate_samples",
@@ -74,49 +75,102 @@ def exact_reliability(graph: InfluenceGraph) -> float:
     return total
 
 
+#: A sample's coins are drawn in about ``m / _CHUNKS`` coins at a time, and
+#: never fewer than ``_MIN_CHUNK``, so a small block draws in one piece.
+_CHUNKS = 16
+_MIN_CHUNK = 1 << 12
+
+
+def _skip_doubles(rng: np.random.Generator, count: int,
+                  buffer: np.ndarray) -> None:
+    """Move ``rng`` past ``count`` uniform doubles without reading them.
+
+    A PCG64 stream jumps there with ``advance`` (one double is one 64-bit
+    step; ``tests/test_reliability.py`` pins the equivalence), keeping the
+    buffered 32-bit half that ``advance`` would drop.  Any other bit
+    generator draws the doubles into ``buffer`` and discards them.
+    """
+    if count <= 0:
+        return
+    rng = ensure_rng(rng)
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is np.random.PCG64:
+        before = bit_generator.state
+        bit_generator.advance(count)
+        if before["has_uint32"]:
+            after = bit_generator.state
+            after["has_uint32"] = before["has_uint32"]
+            after["uinteger"] = before["uinteger"]
+            bit_generator.state = after
+        return
+    while count > 0:
+        step = min(count, buffer.size)
+        rng.random(out=buffer[:step])
+        count -= step
+
+
 def estimate_reliability(
     graph: InfluenceGraph, n_samples: int = 10_000, rng=None
 ) -> float:
     """Monte-Carlo estimate of ``Rel(G)``.
 
-    Every sample consumes exactly one ``rng.random(m)`` keep-mask, whatever
-    its outcome, so callers sharing ``rng`` (:func:`reliability_product`
-    over several blocks) see the same stream.  A strongly connected sample
-    needs every vertex to keep a live out-edge and a live in-edge; samples
-    failing that exact necessary condition — most samples of a large block
-    — are rejected before any CSR is built or SCC pass run.
+    Every sample owns exactly ``m`` consecutive doubles of ``rng`` (its
+    keep-mask ``rng.random(m) < probs``), whatever its outcome, so callers
+    sharing ``rng`` (:func:`reliability_product` over several blocks) see
+    the same stream.  A strongly connected sample needs every vertex to
+    keep a live out-edge and a live in-edge.  The coins are drawn in CSR
+    order a chunk at a time, and after each chunk the rows it completed are
+    tested for a live out-edge: at the first dead row the sample is
+    rejected and the rest of its coins are skipped unread
+    (:func:`_skip_doubles`; counter ``reliability.coins_skipped``).  Only a
+    sample passing both degree tests builds a CSR and runs an SCC pass.
     """
     if graph.n <= 1:
         return 1.0
     rng = ensure_rng(rng)
-    # Reused buffers: each draw is the ``rng.random(m) < probs`` of
-    # :func:`~repro.diffusion.live_edge.sample_live_edge_mask`, without a
-    # fresh ``m``-sized allocation per sample.
-    draws = np.empty(graph.m, dtype=np.float64)
-    keep = np.empty(graph.m, dtype=bool)
-    live_in = np.empty(graph.n, dtype=bool)
-    starts = graph.indptr[:-1]
-    if not (np.diff(graph.indptr) > 0).all() or not (
+    m, indptr, probs = graph.m, graph.indptr, graph.probs
+    chunk = max(-(-m // _CHUNKS), _MIN_CHUNK)
+    draws = np.empty(min(chunk, m), dtype=np.float64)
+    starts = indptr[:-1]
+    if not (np.diff(indptr) > 0).all() or not (
             np.bincount(graph.heads, minlength=graph.n) > 0).all():
         # A source or sink vertex: no sample is strongly connected.
-        for _ in range(n_samples):
-            rng.random(out=draws)
+        _skip_doubles(rng, n_samples * m, draws)
+        inc("reliability.coins_skipped", n_samples * m)
         return 0.0
-    hits = 0
+    # One step per chunk [lo, hi): the rows [row, upto) whose last edge it
+    # draws, as their edge span [first, last) and reduceat offsets.
+    plan = []
+    row = 0
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        upto = int(np.searchsorted(indptr[1:], hi, side="right"))
+        first, last = int(indptr[row]), int(indptr[upto])
+        plan.append((lo, hi, first, last,
+                     starts[row:upto] - first if upto > row else None))
+        row = upto
+    keep = np.empty(m, dtype=bool)
+    live_in = np.empty(graph.n, dtype=bool)
+    hits = skipped = 0
     for _ in range(n_samples):
-        rng.random(out=draws)
-        np.less(draws, graph.probs, out=keep)
         inc("sample.live_edge_graphs")
-        inc("sample.edges_kept", int(np.count_nonzero(keep)))
-        if not np.logical_or.reduceat(keep, starts).all():
-            continue
-        live_in[:] = False
-        live_in[graph.heads[keep]] = True
-        if not live_in.all():
-            continue
-        labels = scc_labels(*live_edge_csr_from_mask(graph, keep))
-        if labels.max(initial=0) == 0:
-            hits += 1
+        for lo, hi, first, last, offsets in plan:
+            rng.random(out=draws[:hi - lo])
+            np.less(draws[:hi - lo], probs[lo:hi], out=keep[lo:hi])
+            if offsets is not None and not np.logical_or.reduceat(
+                    keep[first:last], offsets).all():
+                _skip_doubles(rng, m - hi, draws)
+                skipped += m - hi
+                break
+        else:
+            live_in[:] = False
+            live_in[graph.heads[keep]] = True
+            if not live_in.all():
+                continue
+            labels = scc_labels(*live_edge_csr_from_mask(graph, keep))
+            if labels.max(initial=0) == 0:
+                hits += 1
+    inc("reliability.coins_skipped", skipped)
     return hits / n_samples
 
 
@@ -139,23 +193,36 @@ def max_scc_rate_samples(
     return rates
 
 
+def block_subgraphs(graph: InfluenceGraph,
+                    partition: Partition) -> list[InfluenceGraph]:
+    """The induced subgraphs ``G[C_j]`` of the partition's non-singleton
+    blocks, in :meth:`~repro.partition.Partition.non_singleton_blocks`
+    order — what :func:`reliability_product` estimates over."""
+    return [graph.induced_subgraph(block)
+            for block in partition.non_singleton_blocks()]
+
+
 def reliability_product(
     graph: InfluenceGraph,
     partition: Partition,
     n_samples: int = 2_000,
     rng=None,
     exact_edge_limit: int = 16,
+    subgraphs: "list[InfluenceGraph] | None" = None,
 ) -> float:
     """Estimate ``prod_j Rel(G[C_j])`` over the partition's blocks.
 
     Singleton blocks have reliability exactly 1 and are skipped, so the cost
     scales with the non-singleton blocks only.  Blocks whose induced subgraph
     has at most ``exact_edge_limit`` edges are computed exactly.
+    ``subgraphs`` are the blocks' :func:`block_subgraphs` when the caller
+    has cut them already (the same values; the cut is then not repeated).
     """
     rng = ensure_rng(rng)
+    if subgraphs is None:
+        subgraphs = block_subgraphs(graph, partition)
     product = 1.0
-    for block in partition.non_singleton_blocks():
-        sub = graph.induced_subgraph(block)
+    for sub in subgraphs:
         if sub.m <= exact_edge_limit:
             product *= exact_reliability(sub)
         else:

@@ -20,7 +20,9 @@ The pruning argument of the paper applies twice over:
   partition provably unchanged.
 
 When no ``C_i`` changes, ``P_r`` is provably unchanged and only the
-coarse edge bundles touched by the batch need a probability update.
+coarse edge bundles touched by the batch need a probability update.  When
+some ``C_i`` changed, ``P_r`` is re-folded, and the contraction runs only
+if ``pi`` moved; an unchanged ``pi`` takes the same bundle patch.
 
 Internal representation
 -----------------------
@@ -73,7 +75,7 @@ discovered by exact counting, never by floating-point comparison.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +122,19 @@ _REACH_CAP = 512
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser, vectorised over a ``uint64`` array (wraps)."""
-    x = (x + _GOLDEN).astype(np.uint64)
-    x ^= x >> np.uint64(30)
-    x *= _MIX_A
-    x ^= x >> np.uint64(27)
-    x *= _MIX_B
-    x ^= x >> np.uint64(31)
+    """SplitMix64 finaliser, vectorised over a ``uint64`` array (wraps).
+
+    Returns a fresh array; the rounds run in place in it, with one
+    scratch buffer for the shifts.
+    """
+    x = x + _GOLDEN
+    scratch = np.empty_like(x)
+    for shift, factor in ((np.uint64(30), _MIX_A), (np.uint64(27), _MIX_B)):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= factor
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
     return x
 
 
@@ -150,6 +158,31 @@ def edge_coin_uniforms(
     )
     word = _mix64(_mix64(tails + base) + heads)
     return (word >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _addressable_keep_rows(graph: InfluenceGraph, samples: Iterable[int],
+                           seed: int) -> Iterator[np.ndarray]:
+    """``edge_coin_uniforms(tails, heads, i, seed) < probs`` over the
+    graph's CSR edges, one boolean row per sample ``i`` in ``samples``.
+
+    The same values with less work: the first SplitMix round of ``tail +
+    base`` is mixed once per vertex and gathered over the CSR rows, and
+    the heads are added in place through a ``uint64`` view.  Only the row
+    itself outlives its computation, so a caller's per-sample work (an SCC
+    pass) does not run beside ``m``-long hash buffers.
+    """
+    heads = graph.heads.view(np.uint64)
+    tails = graph.tails()
+    vertices = np.arange(graph.n, dtype=np.uint64)
+    seed_word = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    for i in samples:
+        word = _mix64(vertices + _mix64(seed_word + np.uint64(i)))[tails]
+        word += heads
+        word = _mix64(word)
+        word >>= np.uint64(11)
+        keep = word * _INV_2_53 < graph.probs
+        del word
+        yield keep
 
 
 @dataclass(frozen=True)
@@ -245,11 +278,9 @@ def coarsen_addressable(
         raise CoarseningError("addressable coarsening expects an unweighted input")
     if r < 0:
         raise CoarseningError("r must be non-negative")
-    tails, heads, probs = graph.edge_arrays()
     partition = Partition.trivial(graph.n)
     with span("coarsen_addressable", r=r, n=graph.n, m=graph.m):
-        for i in range(r):
-            keep = edge_coin_uniforms(tails, heads, i, seed) < probs
+        for keep in _addressable_keep_rows(graph, range(r), seed):
             indptr, kept_heads = live_edge_csr_from_mask(graph, keep)
             labels = scc_labels(indptr, kept_heads)
             partition = partition.meet(Partition(labels))
@@ -328,7 +359,6 @@ class DynamicCoarsener:
             self._rng = ensure_rng(rng)
         self.stats = DynamicStats()
 
-        tails, heads, probs = graph.edge_arrays()
         # Canonical CSR edge arrays.  A batch replaces them with new arrays
         # and never writes into them, so they can be shared: with the
         # input graph here, and with current_graph() later.
@@ -338,18 +368,20 @@ class DynamicCoarsener:
         # Sample keep-masks as one (r, m) boolean matrix aligned with the
         # edge arrays — a batch splices every sample in one segment pass.
         self._keep = np.empty((r, graph.m), dtype=bool)
-        for i in range(r):
-            if coins == "addressable":
-                self._keep[i] = edge_coin_uniforms(tails, heads, i, self.seed) < probs
-            else:
-                self._keep[i] = self._rng.random(graph.m) < probs
+        if coins == "addressable":
+            for i, keep in enumerate(
+                    _addressable_keep_rows(graph, range(r), self.seed)):
+                self._keep[i] = keep
+        else:
+            for i in range(r):
+                self._keep[i] = self._rng.random(graph.m) < graph.probs
         self._comps = [self._scc_partition(i) for i in range(r)]
         # Bumped on every applied batch; snapshot()/current_graph() caches
         # are keyed by it.
         self._version = 0
         self._graph_cache: "tuple[int, InfluenceGraph] | None" = None
         self._snapshot_cache: "tuple[int, CoarsenResult] | None" = None
-        self._rebuild_from_components()
+        self._rebuild_from_components(self._fold())
 
     # ------------------------------------------------------------------
     # Edge-array internals
@@ -512,13 +544,17 @@ class DynamicCoarsener:
     # Coarse-graph internals
     # ------------------------------------------------------------------
 
-    def _rebuild_from_components(self) -> None:
-        """Recompute ``P_r``, ``pi``, and the ``H`` bundle arrays from the
-        current ``C_i`` — the same fold and contraction the cold paths run,
-        so the result is bit-for-bit a cold rebuild."""
+    def _fold(self) -> Partition:
+        """``P_r``: the meet of the current ``C_i``, as the cold paths fold."""
         partition = Partition.trivial(self.n)
         for comp in self._comps:
             partition = partition.meet(comp)
+        return partition
+
+    def _rebuild_from_components(self, partition: Partition) -> None:
+        """Adopt ``partition`` (the current :meth:`_fold`) as ``P_r`` and
+        recompute ``pi`` and the ``H`` bundle arrays — the same contraction
+        the cold paths run, so the result is bit-for-bit a cold rebuild."""
         self._partition = partition
         self._pi = partition.labels
         self._nb = partition.n_blocks
@@ -673,8 +709,10 @@ class DynamicCoarsener:
         spliced once, and all the SCC recomputations the checks could not
         prune run **once** per dirty sample against the final masks.  The
         partition/bundle state is likewise repaired once at the end: a
-        single ``_rebuild_from_components`` if any sample's partition
-        changed, else one exact recompute per touched coarse bundle.
+        re-fold if any sample's partition changed, and a contraction only
+        if the fold moved ``pi``; else one exact recompute per touched
+        coarse bundle.  ``"rebuilt"`` (and ``DynamicStats.full_rebuilds``)
+        still means a sample partition changed.
 
         Returns a summary dict ``{"applied", "fast", "rebuilt",
         "coarse_changed"}`` — ``coarse_changed`` is False exactly when the
@@ -733,13 +771,18 @@ class DynamicCoarsener:
         coarse_changed = False
         if changed:
             self.stats.full_rebuilds += 1
-            self._rebuild_from_components()
-            coarse_changed = True
+            partition = self._fold()
+            # A changed C_i often leaves the meet as it was; then pi, the
+            # block members and every untouched bundle stand, and only the
+            # touched bundles are patched, exactly as on the fast path.
+            if not np.array_equal(partition.labels, self._pi):
+                self._rebuild_from_components(partition)
+                touched, coarse_changed = {}, True
         else:
             self.stats.fast_updates += len(deltas)
-            for cu, cv in touched:
-                if cu != cv and self._patch_bundle(cu, cv):
-                    coarse_changed = True
+        for cu, cv in touched:
+            if cu != cv and self._patch_bundle(cu, cv):
+                coarse_changed = True
         self._version += 1
         inc("dynamic.deltas", len(deltas))
         return {"applied": len(deltas), "fast": 0 if changed else len(deltas),

@@ -63,8 +63,6 @@ import struct
 import threading
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from ..core.dynamic import Delta, DynamicCoarsener
 from ..core.frameworks import MaximizationResult
 from ..core.result import CoarsenResult
@@ -227,24 +225,11 @@ class DynamicModel:
                 key = self._service.key_for(graph)
                 # If the coarse graph survived the delta bit-for-bit, keep
                 # the previous model OBJECT so the pool's identity binding
-                # (and its already-drawn prefix) stays valid.  The fast
-                # path reports this exactly (`coarse_changed` flips only on
-                # a bitwise H change), so no digest comparison — or even a
-                # snapshot — is needed to retain; after a full rebuild the
-                # digests arbitrate (a rebuild may still reproduce H).
-                if not summary["coarse_changed"]:
-                    retained = True
-                    model = prev_model
-                elif not summary["rebuilt"]:
-                    retained = False
-                    model = self._coarsener.snapshot()
-                else:
-                    snapshot = self._coarsener.snapshot()
-                    retained = (
-                        snapshot.coarse.digest() == prev_model.coarse.digest()
-                        and np.array_equal(snapshot.pi, prev_model.pi)
-                    )
-                    model = prev_model if retained else snapshot
+                # (and its already-drawn prefix) stays valid.
+                # `coarse_changed` is exact (False only when H and pi
+                # survived bit for bit), so no snapshot is needed to retain.
+                retained = not summary["coarse_changed"]
+                model = prev_model if retained else self._coarsener.snapshot()
                 epoch = prev_epoch + 1
                 self._service._publish_epoch(prev_key, key, model,
                                              retained=retained)

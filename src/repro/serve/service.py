@@ -59,6 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from ..analysis.bounds import GuaranteeReport, guarantee_report
+from ..analysis.reliability import block_subgraphs
 from ..core.api import coarsen_influence_graph
 from ..core.dynamic import COIN_DISCIPLINES, coarsen_addressable
 from ..core.frameworks import (
@@ -73,7 +74,7 @@ from ..errors import AlgorithmError, BudgetExceededError
 from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, observe, set_gauge, span
 from ..rng import derive_entropy, ensure_rng
-from ..sketch import DEFAULT_SKETCH_K, InfluenceOracle
+from ..sketch import DEFAULT_SKETCH_K, InfluenceOracle, sketch_eps
 from .cache import ModelCache, ModelKey
 from .pool import DEFAULT_CHUNK_SETS, SamplePool
 from .shard import ShardError, ShardRuntime
@@ -221,14 +222,18 @@ class QueryResult:
 
 
 def _report(config: ServiceConfig, graph: InfluenceGraph,
-            model: CoarsenResult, eps: float) -> GuaranteeReport:
+            model: CoarsenResult, eps: float,
+            subgraphs: "list[InfluenceGraph] | None" = None
+            ) -> GuaranteeReport:
     """Theorems 6.1/6.2 for ``graph`` at estimation accuracy ``eps``
-    (clamped to 1: a relative error above 1 is vacuous)."""
+    (clamped to 1: a relative error above 1 is vacuous), over the
+    ``subgraphs`` of the model's blocks when they are already cut."""
     return guarantee_report(
         graph, model,
         estimation_eps=min(1.0, eps),
         n_samples=config.report_samples,
         rng=ensure_rng(config.seed),
+        subgraphs=subgraphs,
     )
 
 
@@ -238,11 +243,15 @@ class _SketchRead:
     The guarantee report is computed ONCE per oracle build (it pays an MC
     reliability estimation) and attached to every query answered from the
     oracle — recomputing it per query would forfeit the oracle's whole
-    latency win.  ``fine`` is the fine graph the report translates to; a
-    retained model served for a new fine-graph epoch keeps the oracle but
-    restates the report (:meth:`bind`).  ``build_seconds`` and
-    ``report_seconds`` are the wall time of the oracle build and of the
-    latest report — the cold read's cost, surfaced under ``/stats``.
+    latency win.  The report needs only the sketch's eps, not the built
+    oracle, so the cold read runs it on a side thread of its own while the
+    calling thread builds the oracle (the service's dispatch pool is not
+    used: the cold read already holds one of its workers).  ``fine`` is
+    the fine graph the report translates to; a retained model served for
+    a new fine-graph epoch keeps the oracle but restates the report
+    (:meth:`bind`).  ``build_seconds`` and ``report_seconds`` are the wall
+    time of the oracle build and of the latest report — the cold read's
+    cost, surfaced under ``/stats``; on a cold read they overlap.
     """
 
     family = "sketch"
@@ -250,15 +259,23 @@ class _SketchRead:
     def __init__(self, config: ServiceConfig, graph: InfluenceGraph,
                  model: CoarsenResult) -> None:
         self._config = config
-        start = time.perf_counter()
-        self.oracle = InfluenceOracle(model.coarse, r=config.r,
-                                      k=config.sketch_k,
-                                      rng=ensure_rng(config.seed))
-        self.build_seconds = time.perf_counter() - start
+        self.fine: "InfluenceGraph | None" = None
+        eps = sketch_eps(config.sketch_k, config.sketch_delta)
+        # Cut the blocks here, before the build: the cut's temporaries go
+        # back to this thread's heap, which the build reuses, and the side
+        # thread, whose heap the build cannot reuse, only draws coins.
+        subgraphs = block_subgraphs(graph, model.partition)
+        with ThreadPoolExecutor(1, thread_name_prefix="sketch-report") as side:
+            report = side.submit(self._restate, graph, model, eps, subgraphs)
+            del subgraphs
+            start = time.perf_counter()
+            self.oracle = InfluenceOracle(model.coarse, r=config.r,
+                                          k=config.sketch_k,
+                                          rng=ensure_rng(config.seed))
+            self.build_seconds = time.perf_counter() - start
+            report.result()
         observe("serve.sketch.build_seconds", self.build_seconds)
         inc("serve.sketch.builds")
-        self.fine: "InfluenceGraph | None" = None
-        self.bind(graph, model)
 
     @property
     def graph(self) -> InfluenceGraph:
@@ -268,11 +285,16 @@ class _SketchRead:
     def bind(self, graph: InfluenceGraph, model: CoarsenResult) -> None:
         """State Theorem 6.1, with the sketch's (eps, delta) envelope
         folded in, against fine graph ``graph`` (once per fine graph)."""
-        if graph is self.fine:
-            return
+        if graph is not self.fine:
+            self._restate(graph, model,
+                          self.oracle.eps(self._config.sketch_delta))
+
+    def _restate(self, graph: InfluenceGraph, model: CoarsenResult,
+                 eps: float,
+                 subgraphs: "list[InfluenceGraph] | None" = None) -> None:
+        """Compute and time the report for ``graph`` at sketch ``eps``."""
         start = time.perf_counter()
-        self.report = _report(self._config, graph, model,
-                              self.oracle.eps(self._config.sketch_delta))
+        self.report = _report(self._config, graph, model, eps, subgraphs)
         self.report_seconds = time.perf_counter() - start
         observe("serve.sketch.report_seconds", self.report_seconds)
         self.fine = graph

@@ -8,7 +8,9 @@ the same live-edge samples.
 import numpy as np
 import pytest
 
+import repro.core.dynamic as dynamic_module
 from repro.core import Delta, DynamicCoarsener, coarsen_addressable
+from repro.core.dynamic import _addressable_keep_rows, edge_coin_uniforms
 from repro.errors import CoarseningError, WireFormatError
 from repro.graph import InfluenceGraph
 
@@ -271,6 +273,65 @@ class TestAddressableCoins:
             DynamicCoarsener(paper_graph, r=2, rng=0, coins="laplace")
 
 
+def _reference_edge_coin_uniforms(tails, heads, sample_index, seed):
+    """``edge_coin_uniforms`` as it was before the CSR coin path, verbatim."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    mix_a = np.uint64(0xBF58476D1CE4E5B9)
+    mix_b = np.uint64(0x94D049BB133111EB)
+    inv_2_53 = np.float64(1.0 / 9007199254740992.0)
+
+    def mix64(x):
+        x = (x + golden).astype(np.uint64)
+        x ^= x >> np.uint64(30)
+        x *= mix_a
+        x ^= x >> np.uint64(27)
+        x *= mix_b
+        x ^= x >> np.uint64(31)
+        return x
+
+    tails = np.asarray(tails).astype(np.uint64)
+    heads = np.asarray(heads).astype(np.uint64)
+    base = mix64(
+        np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+        + np.atleast_1d(sample_index).astype(np.uint64)
+    )
+    word = mix64(mix64(tails + base) + heads)
+    return (word >> np.uint64(11)).astype(np.float64) * inv_2_53
+
+
+class TestAddressableKeepRows:
+    """The CSR coin path (one hash per tail, in-place second round,
+    integer threshold) gives exactly the coins of the per-edge hash."""
+
+    SAMPLES = np.array([0, 1, 7, 15, 2**32 + 3, 2**62 + 1])
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 11, 2**64 - 1, -3])
+    @pytest.mark.parametrize("n, m", [(60, 400), (1 << 20, 3_000)])
+    def test_matches_reference_coins(self, seed, n, m):
+        g = random_graph(n, m, seed=abs(seed) % 97, p_low=0.01,
+                         p_high=0.99)
+        tails, heads, probs = g.edge_arrays()
+        uniforms = _reference_edge_coin_uniforms(
+            tails, heads, self.SAMPLES[:, None], seed)
+        assert np.array_equal(
+            uniforms, np.stack([edge_coin_uniforms(tails, heads, i, seed)
+                                for i in self.SAMPLES]))
+        got = np.stack(list(_addressable_keep_rows(g, self.SAMPLES, seed)))
+        assert np.array_equal(got, uniforms < probs)
+
+    def test_exact_at_the_threshold(self):
+        # p equal to the coin is not kept; the next double up is.
+        g = random_graph(80, 500, seed=4)
+        tails, heads, _ = g.edge_arrays()
+        coins = _reference_edge_coin_uniforms(tails, heads, 3, 5)
+        probs = coins.copy()
+        probs[::2] = np.nextafter(coins[::2], 2.0)
+        edge = InfluenceGraph(g.indptr, g.heads, probs)
+        (got,) = _addressable_keep_rows(edge, [3], 5)
+        assert np.array_equal(got, coins < probs)
+        assert got[::2].all() and not got[1::2].any()
+
+
 def _apply_one_by_one(dyn: DynamicCoarsener, deltas) -> None:
     for d in deltas:
         if d.op == "insert":
@@ -463,3 +524,49 @@ class TestBatchedDeltas:
                              "v": np.int32(4), "p": 0.5})
         assert (d.u, d.v) == (3, 4)
         assert type(d.u) is int and type(d.v) is int
+
+
+def _bundle_pair_graph() -> InfluenceGraph:
+    """Block {0, 1} (a p = 1 two-cycle) and vertex 2, joined by the one
+    member 0 -> 2 of bundle ({0, 1}, {2}) and the return edge 2 -> 0."""
+    return build_graph(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 0.5),
+                           (2, 0, 0.5)])
+
+
+class TestFoldWithoutContraction:
+    """A batch that changes some sample's SCCs but not the meet ``pi``
+    patches the touched bundles and never contracts the cross edges."""
+
+    @pytest.mark.parametrize("p, coarse_changed", [(0.5, False),
+                                                   (0.25, True)])
+    def test_unchanged_pi_patches_touched_bundles(self, monkeypatch, p,
+                                                  coarse_changed):
+        dyn = DynamicCoarsener(_bundle_pair_graph(), r=8, rng=2,
+                               coins="addressable")
+        before = dyn.snapshot()
+        calls = []
+        combine = dynamic_module.combine_parallel_edges
+
+        def counting(tails, heads, probs):
+            calls.append(len(tails))
+            return combine(tails, heads, probs)
+
+        monkeypatch.setattr(dynamic_module, "combine_parallel_edges",
+                            counting)
+        # The bundle's one member moves from 0 -> 2 to 1 -> 2: the samples
+        # whose cycle 0 -> 2 -> 0 opens or closes change their SCCs, but a
+        # sample without 2 -> 0 keeps {0, 1} and {2} apart in the meet.
+        summary = dyn.apply_deltas([Delta("delete", 0, 2),
+                                    Delta("insert", 1, 2, p)])
+        after = dyn.snapshot()
+        assert summary["rebuilt"] and dyn.stats.full_rebuilds == 1
+        assert np.array_equal(after.pi, before.pi)
+        assert summary["coarse_changed"] is coarse_changed
+        assert (after.coarse.digest() != before.coarse.digest()) \
+            is coarse_changed
+        # One _bundle_q call over the bundle's one member; no contraction.
+        assert calls == [1]
+        cold = coarsen_addressable(dyn.current_graph(), r=8, seed=2)
+        assert after.coarse.digest() == cold.coarse.digest()
+        assert np.array_equal(after.pi, cold.pi)
+        assert after.partition == cold.partition

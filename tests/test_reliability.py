@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro.analysis.reliability as reliability_module
+from repro import obs
 from repro.analysis import (
     estimate_reliability,
     exact_reliability,
@@ -206,3 +207,101 @@ class TestReliabilityPrefilter:
         assert estimate_reliability(build_graph(3, []), n_samples=50,
                                     rng=rng) == 0.0
         assert rng.random() == np.random.default_rng(3).random()
+
+    def test_advance_equals_drawing_doubles(self):
+        # The skip rests on this: for PCG64, advance(j) lands where drawing
+        # j doubles does, and _skip_doubles keeps a buffered 32-bit half.
+        for j in (0, 1, 5, 4_097, 1_000_003):
+            drawn = np.random.default_rng(11)
+            drawn.integers(0, 10, dtype=np.uint32)  # buffers a uint32
+            skipped = np.random.default_rng(11)
+            skipped.integers(0, 10, dtype=np.uint32)
+            assert skipped.bit_generator.state["has_uint32"] == 1
+            drawn.random(j)
+            reliability_module._skip_doubles(skipped, j, np.empty(8))
+            assert skipped.bit_generator.state == drawn.bit_generator.state
+
+
+def chunked_block(seed: int, sink: bool = False):
+    """A 300-vertex block of ~18k edges (several draw chunks) where three
+    vertices, early, midway and late in CSR order, keep a live out-edge
+    with probability 1/2: most samples die in the middle of their coins,
+    some reach the SCC pass.  ``sink`` drops the last vertex's out-edges."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    edges = []
+    for u in range(n - 1 if sink else n):
+        weak = u in (40, 150, 260)
+        targets = rng.choice(n - 1, size=1 if weak else 60, replace=False)
+        targets[targets >= u] += 1
+        for v in targets.tolist():
+            edges.append((u, v, 0.5 if weak else float(rng.uniform(0.5, 0.99))))
+    return build_graph(n, edges)
+
+
+def _same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Equal bit generator states, MT19937's key array included."""
+    left, right = a.bit_generator.state, b.bit_generator.state
+    if left["bit_generator"] == "MT19937":
+        return (right["bit_generator"] == "MT19937"
+                and np.array_equal(left["state"]["key"],
+                                   right["state"]["key"])
+                and left["state"]["pos"] == right["state"]["pos"])
+    return left == right
+
+
+class TestChunkedDraws:
+    """Coins drawn a chunk at a time, the rest of a rejected sample
+    skipped: rho and the generator's whole end state are unchanged."""
+
+    def _generators(self, kind: str, seed: int):
+        def make():
+            if kind == "mt19937":
+                return np.random.Generator(np.random.MT19937(seed))
+            rng = np.random.default_rng(seed)
+            if kind == "pcg64-buffered":
+                rng.integers(0, 10, dtype=np.uint32)
+            return rng
+        return make(), make()
+
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64-buffered", "mt19937"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mid_stream_rejection_matches_reference(self, kind, seed):
+        block = chunked_block(seed)
+        assert block.m > 4 * reliability_module._MIN_CHUNK
+        fast_rng, ref_rng = self._generators(kind, seed)
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            got = estimate_reliability(block, n_samples=60, rng=fast_rng)
+        assert got == reference_estimate_reliability(block, 60, ref_rng)
+        assert _same_state(fast_rng, ref_rng)
+        if kind == "pcg64-buffered":
+            assert fast_rng.bit_generator.state["has_uint32"] == 1
+        assert fast_rng.integers(0, 2**32, dtype=np.uint32) == \
+            ref_rng.integers(0, 2**32, dtype=np.uint32)
+        # Samples were rejected before their last coin, and some were not.
+        skipped = registry.counter("reliability.coins_skipped")
+        assert 0 < skipped < 60 * block.m
+
+    def test_some_samples_reach_the_scc_pass(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return scc_labels(*args, **kwargs)
+
+        monkeypatch.setattr(reliability_module, "scc_labels", counting)
+        estimate_reliability(chunked_block(0), n_samples=60, rng=0)
+        assert calls
+
+    @pytest.mark.parametrize("kind", ["pcg64", "pcg64-buffered", "mt19937"])
+    def test_sink_block_skips_every_coin(self, kind):
+        block = chunked_block(1, sink=True)
+        fast_rng, ref_rng = self._generators(kind, 1)
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            assert estimate_reliability(block, n_samples=40,
+                                        rng=fast_rng) == 0.0
+        assert reference_estimate_reliability(block, 40, ref_rng) == 0.0
+        assert _same_state(fast_rng, ref_rng)
+        assert registry.counter("reliability.coins_skipped") == 40 * block.m

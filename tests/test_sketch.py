@@ -39,6 +39,7 @@ from repro.estimators import (
     make_estimator,
 )
 from repro import obs
+from repro.analysis import guarantee_report
 from repro.graph import InfluenceGraph
 from repro.rng import indexed_rng
 from repro.serve import InfluenceService, ServiceConfig
@@ -440,6 +441,41 @@ class TestServing:
                            "report_seconds")):
             assert timers[name]["count"] == 1
             assert timers[name]["total"] == pytest.approx(cost[key])
+
+    def test_overlapped_report_equals_sequential(self):
+        # The cold read states its report on a side thread while the
+        # oracle builds; it must be the sequential report, bit for bit.
+        g = random_graph(40, 200, seed=43, p_low=0.3, p_high=0.95)
+        config = ServiceConfig(r=4, estimator="sketch", sketch_k=16,
+                               report_samples=400)
+        with InfluenceService(config) as svc:
+            report = svc.estimate(g, [0]).report
+            model = svc.model_for(g)
+        want = guarantee_report(
+            g, model, n_samples=config.report_samples,
+            estimation_eps=min(1.0, sketch_eps(16, config.sketch_delta)),
+            rng=np.random.default_rng(config.seed))
+        assert 0.0 < want.reliability_product < 1.0  # the MC path ran
+        assert report == want
+
+    @pytest.mark.parametrize("side, target", [
+        ("report", "guarantee_report"), ("build", "InfluenceOracle")])
+    def test_cold_read_error_reaches_caller(self, monkeypatch, side, target):
+        from repro.serve import service as service_module
+
+        def failing(*args, **kwargs):
+            raise RuntimeError(f"{side} failed")
+
+        monkeypatch.setattr(service_module, target, failing)
+        before = set(threading.enumerate())
+        with InfluenceService(ServiceConfig(
+                r=4, estimator="sketch", sketch_k=16)) as svc:
+            with pytest.raises(RuntimeError, match=f"{side} failed"):
+                svc.estimate(self._graph(), [0])
+            assert not [t for t in threading.enumerate()
+                        if t.name.startswith("sketch-report")]
+            assert _oracles(svc) == []
+        assert set(threading.enumerate()) <= before
 
     def test_stats_does_not_wait_for_an_oracle_build(self, monkeypatch):
         """/stats must answer while an oracle build holds the read-state
