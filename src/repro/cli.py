@@ -148,18 +148,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_coarsen(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, args.default_prob, args.undirected,
                         args.reverse)
-    parallel = args.executor is not None or args.workers is not None
-    result = coarsen_influence_graph(
-        graph, r=args.r, rng=args.seed,
-        executor=args.executor or ("thread" if parallel else "serial"),
-        workers=args.workers,
-    )
-    if parallel:
+    result = coarsen_influence_graph(graph, r=args.r, rng=args.seed,
+                                     workers=args.workers)
+    if args.workers is not None:
         extras = result.stats.extras
         clamp = (f" (clamped from {extras['requested_workers']})"
                  if extras["workers"] != extras["requested_workers"] else "")
-        print(f"parallel: executor={extras['executor']} "
-              f"workers={extras['workers']}{clamp} "
+        print(f"parallel: workers={extras['workers']}{clamp} "
               f"meet tree depth {extras['meet_tree_depth']}")
     stats = result.stats
     print(f"coarsened in {stats.total_seconds:.2f} s (r={args.r})")
@@ -297,16 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_arguments(p_coarsen)
     p_coarsen.add_argument("-r", type=int, default=16,
                            help="robustness parameter (default 16)")
-    p_coarsen.add_argument("--executor", choices=("serial", "thread", "process"),
-                           default=None,
-                           help="run Algorithm 6 with this executor instead "
-                                "of Algorithm 1 (process = zero-copy "
-                                "shared-memory broadcast; implies --workers 4 "
-                                "unless given)")
     p_coarsen.add_argument("--workers", type=int, default=None,
-                           help="parallel worker count for Algorithm 6 "
-                                "(clamped to min(workers, r); implies "
-                                "--executor thread unless given)")
+                           help="run Algorithm 6 on a thread pool of this "
+                                "many workers instead of Algorithm 1 "
+                                "(clamped to min(workers, r))")
     p_coarsen.add_argument("--seed", type=int, default=0)
     p_coarsen.add_argument("-o", "--output",
                            help="write the coarse graph as an edge list "

@@ -2,7 +2,7 @@
 
 * :func:`coarsen_influence_graph` — the unified entry point: Algorithm 1
   (``space="linear"``, the default), Algorithm 2 (``space="sublinear"``)
-  and Algorithm 6 (``executor=`` / ``workers=``);
+  and Algorithm 6 (``workers=``);
 * :class:`DynamicCoarsener` — Algorithm 7;
 * :func:`estimate_on_coarse` / :func:`maximize_on_coarse` — Algorithms 3/4.
 """
@@ -18,7 +18,7 @@ from .frameworks import (
     maximize_on_coarse,
 )
 from .persistence import load_coarsening, peek_coarsening_meta, save_coarsening
-from .parallel import GraphHandle, split_rounds
+from .parallel import split_rounds
 from .result import CoarsenResult, CoarsenStats
 from .robust_scc import robust_scc_partition, robust_scc_refinement_sequence
 from .tuning import RSweepPoint, r_sweep
@@ -36,7 +36,6 @@ __all__ = [
     "robust_scc_refinement_sequence",
     "coarsen_influence_graph",
     "split_rounds",
-    "GraphHandle",
     "SublinearResult",
     "CoarsenResult",
     "CoarsenStats",

@@ -7,10 +7,9 @@ and Algorithm 6 (:mod:`.parallel`) — behind two orthogonal knobs:
 * ``space`` — ``"linear"`` (in memory, the default) or ``"sublinear"``
   (disk streaming; the input is a :class:`~repro.storage.TripletStore` and
   the output lands at ``out_path``);
-* ``executor`` — ``"serial"`` (the default), ``"thread"`` or ``"process"``
-  for the linear-space path; passing ``workers`` (or a non-serial
-  executor) selects Algorithm 6, whose output is byte-identical to
-  Algorithm 1 for a fixed ``(r, workers, rng)``.
+* ``workers`` — ``None`` (the default) runs Algorithm 1; an integer
+  ``T`` runs Algorithm 6 on a ``T``-thread pool (linear space only),
+  whose output is fixed by ``(r, workers, rng)``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from ..errors import CoarseningError
 from ..graph.influence_graph import InfluenceGraph
 from ..storage.triplet_store import DEFAULT_CHUNK_EDGES, TripletStore
 from .linear_space import coarsen_influence_graph as _coarsen_linear
-from .parallel import _EXECUTORS
 from .parallel import coarsen_influence_graph_parallel as _coarsen_parallel
 from .result import CoarsenResult
 from .sublinear_space import SublinearResult
@@ -34,24 +32,11 @@ __all__ = ["coarsen_influence_graph"]
 _SPACES = ("linear", "sublinear")
 
 
-def algorithm6_workers(executor: str = "serial",
-                       workers: "int | None" = None) -> "int | None":
-    """The worker count :func:`coarsen_influence_graph` hands Algorithm 6.
-
-    ``None`` means the facade runs Algorithm 1: ``workers`` or a
-    non-serial executor selects Algorithm 6, with 4 workers by default.
-    """
-    if executor == "serial" and workers is None:
-        return None
-    return 4 if workers is None else workers
-
-
 def coarsen_influence_graph(
     graph: "InfluenceGraph | TripletStore",
     r: int = 16,
     *,
     rng=None,
-    executor: str = "serial",
     workers: "int | None" = None,
     space: str = "linear",
     validate: bool = False,
@@ -63,7 +48,7 @@ def coarsen_influence_graph(
     """Coarsen an influence graph by its r-robust SCC partition.
 
     One entry point for Algorithms 1, 2 and 6; the implementation is picked
-    by ``space`` and ``executor``, and every combination draws from the same
+    by ``space`` and ``workers``, and every combination draws from the same
     random stream discipline so equal parameters give equal output.
 
     Parameters
@@ -76,15 +61,9 @@ def coarsen_influence_graph(
         Robustness parameter; the paper's sweet spot is 16 (Section 7.5).
     rng:
         Seed or generator; fixes the sampled live-edge graphs.
-    executor:
-        ``"serial"`` (Algorithm 1), or ``"thread"`` / ``"process"``
-        (Algorithm 6 on a thread pool / zero-copy shared-memory process
-        pool).  Linear space only.
     workers:
-        Parallel worker count.  Passing it selects Algorithm 6 even under
-        ``executor="serial"`` (the debugging path that runs the worker
-        function in-process); clamped to ``min(workers, r)``.  Defaults to
-        4 when a non-serial executor is chosen.
+        ``None`` runs Algorithm 1; an integer ``T`` runs Algorithm 6 on a
+        thread pool of ``min(T, r)`` workers.  Linear space only.
     space:
         ``"linear"`` — everything in memory, O(n + m) resident;
         ``"sublinear"`` — Algorithm 2, O(V + F') resident, streaming from
@@ -105,8 +84,6 @@ def coarsen_influence_graph(
     """
     if space not in _SPACES:
         raise CoarseningError(f"space must be one of {_SPACES}")
-    if executor not in _EXECUTORS:
-        raise CoarseningError(f"executor must be one of {_EXECUTORS}")
 
     if space == "sublinear":
         if out_path is None:
@@ -114,9 +91,9 @@ def coarsen_influence_graph(
                 "space='sublinear' streams the coarse graph to disk; "
                 "pass out_path="
             )
-        if executor != "serial" or workers is not None:
+        if workers is not None:
             raise CoarseningError(
-                "space='sublinear' supports executor='serial' only "
+                "space='sublinear' takes no workers= "
                 "(Algorithm 2 streams one sample at a time)"
             )
         if validate:
@@ -144,18 +121,11 @@ def coarsen_influence_graph(
         raise CoarseningError(
             "keep_sample_stores= applies to space='sublinear' only"
         )
-    n_workers = algorithm6_workers(executor, workers)
-    if n_workers is None:
+    if workers is None:
         return _coarsen_linear(graph, r=r, rng=rng, validate=validate)
     if validate:
         raise CoarseningError(
             "validate= is supported on the serial linear path only"
         )
-    return _coarsen_parallel(
-        graph,
-        r=r,
-        workers=n_workers,
-        rng=rng,
-        executor=executor,
-    )
+    return _coarsen_parallel(graph, r=r, workers=workers, rng=rng)
 

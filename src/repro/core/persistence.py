@@ -13,7 +13,7 @@ load archives written by a newer layout.  Version history:
 * **v1** — CSR arrays, ``pi``, and the scalar :class:`CoarsenStats`
   fields.
 * **v2** — adds ``stage_seconds`` (the per-stage wall-time breakdown) and
-  ``extras`` (run provenance: workers/executor/rounds for parallel runs,
+  ``extras`` (run provenance: workers/rounds for parallel runs,
   ``f_prime_edges`` for sublinear runs, ...) to the JSON meta blob, so a
   round trip is lossless for every stats field.  v1 archives still load —
   the two dicts simply come back empty.

@@ -176,7 +176,11 @@ class InfluenceGraph:
             # a pair of direct comparisons
             if not ((self.probs > 0.0) & (self.probs <= 1.0)).all():
                 raise GraphFormatError("influence probabilities must lie in (0, 1]")
-            if (self.tails() == self.heads).any():
+            # a temporary tails array: caching it would keep m int64s alive
+            # on every validated graph, and most never read their tails
+            tails = np.repeat(np.arange(n, dtype=np.int64),
+                              np.diff(self.indptr))
+            if (tails == self.heads).any():
                 raise GraphFormatError("self-loops are not allowed")
         if self._weights is not None:
             if self._weights.shape != (n,):

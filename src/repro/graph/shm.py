@@ -1,28 +1,25 @@
 """Zero-copy shared-memory broadcast of CSR influence graphs.
 
-Algorithm 6's distributed first stage needs every worker to see the whole
-input graph.  Shipping the :class:`InfluenceGraph` through pickle once per
-submitted task — what the first implementation did — serialises
-``O(n + m)`` bytes ``T`` times and copies them again on every deserialise.
-This module instead publishes the CSR arrays (``indptr``, ``heads``,
-``probs`` and, when present, ``weights``) **once** into a single
+The serving shard fleet (:mod:`repro.serve.shard`) scores queries in
+worker processes that all need a served model's coarse graph.  This
+module publishes the CSR arrays (``indptr``, ``heads``, ``probs`` and,
+when present, ``weights``) **once** into a single
 :mod:`multiprocessing.shared_memory` segment and hands workers a tiny
 picklable :class:`SharedGraphSpec`.  Workers attach read-only numpy views
 onto the same physical pages, so the broadcast costs one memcpy for the
-publisher and zero copies per worker — the paper's master-to-worker graph
-broadcast (Appendix C.1) at mmap cost.
+publisher and zero copies per worker.
 
 Ownership protocol
 ------------------
-* The **publisher** (the process driving the coarsen run) creates the
-  segment via :meth:`SharedGraph.publish` and must call
-  :meth:`SharedGraph.unlink` when the pool is done — ``SharedGraph`` is a
-  context manager so the usual form is ``with SharedGraph.publish(g) as
-  shared: ...``.  Creation is exception-safe: a failure while copying the
-  arrays unlinks the half-built segment before re-raising.
-* **Workers** call :func:`attach_shared_graph` (typically from a pool
-  initializer).  Attachment is cached per process and per segment, so a
-  worker that receives many tasks maps the graph exactly once.
+* The **publisher** (the serving parent) creates the segment via
+  :meth:`SharedGraph.publish` and must call :meth:`SharedGraph.unlink`
+  when the model is evicted — ``SharedGraph`` is a context manager so the
+  usual form is ``with SharedGraph.publish(g) as shared: ...``.  Creation
+  is exception-safe: a failure while copying the arrays unlinks the
+  half-built segment before re-raising.
+* **Workers** call :func:`attach_shared_graph`.  Attachment is cached per
+  process and per segment, so a worker that receives many tasks maps the
+  graph exactly once.
   :func:`detach_shared_graphs` drops the cache; it is called automatically
   at interpreter exit.
 
@@ -46,10 +43,7 @@ from .influence_graph import InfluenceGraph
 __all__ = [
     "SharedGraph",
     "SharedGraphSpec",
-    "SharedModel",
-    "SharedModelSpec",
     "attach_shared_graph",
-    "attach_shared_model",
     "detach_shared_graph",
     "detach_shared_graphs",
 ]
@@ -62,8 +56,8 @@ _FLOAT = np.dtype(np.float64)
 class SharedGraphSpec:
     """Picklable descriptor of a published graph segment.
 
-    This is all that crosses the process boundary per pool: a segment name
-    and three integers.  The layout inside the segment is implied —
+    This is all that crosses the process boundary per model: a segment
+    name and three integers.  The layout inside the segment is implied —
     ``indptr`` (``n + 1`` int64), ``heads`` (``m`` int64), ``probs``
     (``m`` float64), then ``weights`` (``n`` int64) when the graph is
     vertex-weighted.
@@ -130,7 +124,7 @@ class SharedGraph:
 
     Create with :meth:`publish`; the owning process must eventually call
     :meth:`unlink` (or use the instance as a context manager) so the
-    segment is returned to the OS even when the pool raises.
+    segment is returned to the OS even when a consumer raises.
     """
 
     __slots__ = ("spec", "_shm")
@@ -177,8 +171,8 @@ class SharedGraph:
     def graph(self) -> InfluenceGraph:
         """A read-only view of the published graph in *this* process.
 
-        Exists for tests and for executors that want the publisher on the
-        exact same zero-copy path as the workers.
+        Exists for tests that want the publisher on the exact same
+        zero-copy path as the workers.
         """
         if self._shm is None:
             raise GraphFormatError(
@@ -217,9 +211,10 @@ class SharedGraph:
 
 
 #: Per-process attachment cache: segment name -> (graph view, mapping).
-#: Guarded by ``_ATTACH_LOCK`` — pool workers are single-threaded, but the
-#: thread-executor path shares the process, and a racing double-attach
-#: would leak a second mapping of the same segment.
+#: Guarded by ``_ATTACH_LOCK`` — shard workers are single-threaded, but the
+#: publisher's own process is not (:meth:`SharedGraph.unlink` evicts from
+#: serving threads), and a racing double-attach would leak a second
+#: mapping of the same segment.
 _ATTACHED: dict[str, tuple[InfluenceGraph, shared_memory.SharedMemory]] = {}
 _ATTACH_LOCK = threading.Lock()
 
@@ -228,7 +223,7 @@ def attach_shared_graph(spec: SharedGraphSpec) -> InfluenceGraph:
     """Attach read-only views for ``spec``, once per process.
 
     Repeated calls with the same segment return the cached graph object, so
-    a pool worker that processes many tasks maps the pages exactly once.
+    a worker that processes many tasks maps the pages exactly once.
     """
     with _ATTACH_LOCK:
         entry = _ATTACHED.get(spec.name)
@@ -279,66 +274,3 @@ def detach_shared_graphs() -> None:
 
 
 atexit.register(detach_shared_graphs)
-
-
-@dataclass(frozen=True)
-class SharedModelSpec:
-    """Picklable descriptor of a published serving model.
-
-    ``token`` is the model's content-address
-    (:meth:`repro.serve.cache.ModelKey.token`), which shard workers use to
-    key their per-model state; ``graph`` locates the coarse graph ``H``
-    inside shared memory.  The fine-to-coarse projection ``pi`` stays in
-    the parent — the serving dispatcher maps seed sets to coarse ids
-    before any query crosses the process boundary, so workers only ever
-    need ``H``.
-    """
-
-    token: str
-    graph: SharedGraphSpec
-
-
-class SharedModel:
-    """Publisher-side handle for a serving-model broadcast.
-
-    A thin composition over :class:`SharedGraph`: the coarse graph of one
-    cached model is published once and addressed by the model's cache
-    token.  Same ownership protocol — the publisher (the serving parent)
-    must :meth:`unlink` when the model is evicted.
-    """
-
-    __slots__ = ("token", "_shared")
-
-    def __init__(self, token: str, shared: SharedGraph) -> None:
-        self.token = token
-        self._shared = shared
-
-    @classmethod
-    def publish(cls, token: str, coarse: InfluenceGraph) -> "SharedModel":
-        """Publish model ``token``'s coarse graph into shared memory."""
-        return cls(token, SharedGraph.publish(coarse))
-
-    @property
-    def spec(self) -> SharedModelSpec:
-        """The picklable descriptor workers attach with."""
-        return SharedModelSpec(self.token, self._shared.spec)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes broadcast for this model."""
-        return self._shared.spec.nbytes
-
-    def unlink(self) -> None:
-        """Release the underlying segment (idempotent)."""
-        self._shared.unlink()
-
-    def __enter__(self) -> "SharedModel":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.unlink()
-
-
-def attach_shared_model(spec: SharedModelSpec) -> InfluenceGraph:
-    """Attach the coarse graph of a published model (cached per process)."""
-    return attach_shared_graph(spec.graph)

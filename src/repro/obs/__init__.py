@@ -49,7 +49,6 @@ from .runtime import (
 )
 from .sinks import JsonlSink, ListSink, NullSink, Sink
 from .stages import (
-    STAGE_BROADCAST,
     STAGE_CONTRACT,
     STAGE_MEET,
     STAGE_SAMPLE,
@@ -93,5 +92,4 @@ __all__ = [
     "STAGE_SCC",
     "STAGE_MEET",
     "STAGE_CONTRACT",
-    "STAGE_BROADCAST",
 ]

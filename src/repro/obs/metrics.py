@@ -8,7 +8,7 @@ registry directly — it calls the gated module-level helpers in
 :mod:`repro.obs`, which are no-ops until a registry is installed.
 
 Thread safety: counter/timer updates take a lock, so worker threads (the
-``thread`` executor of Algorithm 6) can share one registry.
+Algorithm 6's thread pool) can share one registry.
 """
 
 from __future__ import annotations

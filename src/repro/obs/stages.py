@@ -14,10 +14,7 @@ Canonical stage keys (see ``docs/observability.md``):
 ``sample``     drawing a live-edge graph from ``D_G``;
 ``scc``        labelling one sample's strongly connected components;
 ``meet``       folding a sample partition into the running meet;
-``contract``   building ``H`` from the final partition (second stage);
-``broadcast``  publishing the CSR arrays to shared memory (Algorithm 6's
-               process executor only — the master-to-worker graph
-               broadcast of Appendix C.1).
+``contract``   building ``H`` from the final partition (second stage).
 """
 
 from __future__ import annotations
@@ -34,14 +31,12 @@ __all__ = [
     "STAGE_SCC",
     "STAGE_MEET",
     "STAGE_CONTRACT",
-    "STAGE_BROADCAST",
 ]
 
 STAGE_SAMPLE = "sample"
 STAGE_SCC = "scc"
 STAGE_MEET = "meet"
 STAGE_CONTRACT = "contract"
-STAGE_BROADCAST = "broadcast"
 
 
 class StageTimes:

@@ -7,9 +7,9 @@ layer the ROADMAP's "heavy traffic" north star needs, with no dependencies
 beyond the library itself:
 
 * :class:`ModelCache` (:mod:`.cache`) — a content-addressed LRU of
-  coarsened models keyed by ``(graph digest, r, seed, executor,
-  sampler)``, with a byte budget and optional warm-start from
-  ``core.persistence`` archives;
+  coarsened models keyed by ``(graph digest, r, seed, sampler)``, with
+  a byte budget and optional warm-start from ``core.persistence``
+  archives;
 * :class:`SamplePool` (:mod:`.pool`) — one shared, grow-only RR-set pool
   per model that concurrent queries are coalesced onto (one pool, many
   seed sets), with deadline-bounded growth for graceful degradation;

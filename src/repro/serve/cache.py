@@ -27,8 +27,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from ..core.api import algorithm6_workers
-from ..core.parallel import split_rounds
 from ..core.persistence import (
     load_coarsening,
     peek_coarsening_meta,
@@ -53,14 +51,6 @@ class ModelKey:
     object.  The remaining fields are exactly the parameters that change
     the coarsening output; anything that does not stays out of the key.
 
-    ``rounds`` is the Algorithm 6 round split the coarsening facade runs
-    for the configured executor and workers
-    (:func:`repro.core.api.algorithm6_workers`,
-    :func:`repro.core.parallel.split_rounds`), or ``None`` for
-    Algorithm 1.  The split, not the executor, fixes the model: thread
-    and process executors over the same split build the same model, and
-    two worker counts with different splits build different ones.
-
     ``sampler`` names the coin discipline ("stream" for the sequential
     Algorithm 1 sampler, "addressable" for counter-based per-edge coins —
     see :mod:`repro.core.dynamic`).  It is part of the key *and* the warm
@@ -82,25 +72,15 @@ class ModelKey:
     graph_digest: str
     r: int
     seed: int
-    rounds: "tuple[int, ...] | None" = None
     sampler: str = "stream"
     state: str = "model"
 
     @classmethod
     def for_graph(cls, graph: InfluenceGraph, *, r: int, seed: int,
-                  executor: str = "serial", workers: "int | None" = None,
                   sampler: str = "stream") -> "ModelKey":
-        """The key addressing ``graph`` coarsened under these parameters.
-
-        The addressable sampler always coarsens serially
-        (:func:`repro.core.dynamic.coarsen_addressable`), so its key
-        carries no round split.
-        """
-        workers = (None if sampler == "addressable"
-                   else algorithm6_workers(executor, workers))
-        rounds = None if workers is None else tuple(split_rounds(r, workers))
+        """The key addressing ``graph`` coarsened under these parameters."""
         return cls(graph_digest=graph.digest(), r=int(r), seed=int(seed),
-                   rounds=rounds, sampler=sampler)
+                   sampler=sampler)
 
     def for_state(self, state: str) -> "ModelKey":
         """This key re-addressed to another derived artifact (``state``)."""
@@ -108,10 +88,8 @@ class ModelKey:
 
     def token(self) -> str:
         """A short filesystem-safe name for this key (warm archives)."""
-        rounds = ("alg1" if self.rounds is None
-                  else ",".join(map(str, self.rounds)))
         payload = "|".join([self.graph_digest, str(self.r), str(self.seed),
-                            rounds, self.sampler, self.state])
+                            self.sampler, self.state])
         return hashlib.blake2b(payload.encode("utf-8"),
                                digest_size=12).hexdigest()
 
@@ -121,7 +99,6 @@ class ModelKey:
             "graph_digest": self.graph_digest,
             "r": self.r,
             "seed": self.seed,
-            "rounds": None if self.rounds is None else list(self.rounds),
             "sampler": self.sampler,
             "state": self.state,
         }

@@ -94,15 +94,11 @@ class SamplePool(PooledRead):
         drawn immediately — see :func:`repro.rng.derive_entropy`); every
         sample index then gets its own :func:`repro.rng.indexed_rng`
         stream.
-    model:
-        Diffusion model (``"ic"`` / ``"lt"``), as on
-        :class:`~repro.diffusion.rr_sets.RRSampler`.
     chunk_sets:
         Growth granularity between deadline checks.
     """
 
     def __init__(self, graph: InfluenceGraph, rng: RngLike = None,
-                 model: str = "ic",
                  chunk_sets: int = DEFAULT_CHUNK_SETS) -> None:
         if chunk_sets <= 0:
             raise AlgorithmError("chunk_sets must be positive")
@@ -111,8 +107,7 @@ class SamplePool(PooledRead):
         # The sampler's own fallback stream is the entropy's parent stream,
         # independent of every spawned child; ensure() never touches it —
         # pooled sample i always gets stream (entropy, i).
-        self._sampler = RRSampler(graph, rng=ensure_rng(self.entropy),
-                                  model=model)
+        self._sampler = RRSampler(graph, rng=ensure_rng(self.entropy))
         self._rr_sets: list[np.ndarray] = []  #: guarded-by: _lock
         self._coverage: "CoverageInstance | None" = None  #: guarded-by: _lock
         self._coverage_size = 0  #: guarded-by: _lock

@@ -67,7 +67,6 @@ from ..core.frameworks import (
     estimate_on_coarse,
     maximize_on_coarse,
 )
-from ..core.parallel import _EXECUTORS
 from ..core.result import CoarsenResult
 from ..estimators import DEFAULT_ESTIMATOR, available_estimators
 from ..errors import AlgorithmError, BudgetExceededError
@@ -93,18 +92,19 @@ MAX_N_SAMPLES = 100_000_000
 class ServiceConfig:
     """Knobs for one :class:`InfluenceService` instance.
 
-    Model parameters (``r``, ``seed``, ``sampler``, and the Algorithm 6
-    round split that ``executor`` and ``workers`` select) enter the cache
-    key — two services that build the same model share warm archives.
+    Model parameters (``r``, ``seed``, ``sampler``) enter the cache key —
+    two services that build the same model share warm archives.  Models
+    are built by Algorithm 1 (stream coins) or
+    :func:`~repro.core.dynamic.coarsen_addressable` (addressable coins).
     The serving parameters (worker/queue/deadline) do not affect query
-    *values*, only latency and degradation behaviour.
+    *values*, only latency and degradation behaviour.  Queries are
+    answered under the IC model only: the coarsening guarantees
+    (Theorems 4.6/6.1) do not cover LT.
     """
 
     # -- model (these are part of the cache key) -----------------------
     r: int = 16
     seed: int = 0
-    executor: str = "serial"
-    workers: "int | None" = None
     #: Coin discipline for live-edge samples.  "stream" is Algorithm 1's
     #: sequential sampler; "addressable" uses counter-based per-edge coins
     #: (:mod:`repro.core.dynamic`), which is what makes live-graph serving
@@ -112,7 +112,6 @@ class ServiceConfig:
     #: rebuild, so epoch versioning reduces to content addressing.
     sampler: str = "stream"
     # -- sketches ------------------------------------------------------
-    model: str = "ic"
     n_samples: int = 10_000
     chunk_samples: int = DEFAULT_CHUNK_SETS
     min_samples: int = 128
@@ -156,12 +155,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError("r must be positive")
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, not {self.executor!r}"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ValueError("workers must be positive when given")
         if self.n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if self.n_samples > MAX_N_SAMPLES:
@@ -190,16 +183,6 @@ class ServiceConfig:
             raise ValueError("sketch_k must be at least 4")
         if not 0 < self.sketch_delta < 1:
             raise ValueError("sketch_delta must lie in (0, 1)")
-        if self.sampler == "addressable" and self.executor != "serial":
-            raise ValueError(
-                "sampler='addressable' implies executor='serial' (the "
-                "addressable cold path is not parallelised)"
-            )
-        if self.sampler == "addressable" and self.workers is not None:
-            raise ValueError(
-                "sampler='addressable' takes no workers (the addressable "
-                "cold path is not parallelised)"
-            )
 
 
 @dataclass
@@ -398,11 +381,9 @@ class InfluenceService:
 
     def key_for(self, graph: InfluenceGraph) -> ModelKey:
         """The cache key addressing ``graph`` under this service's config."""
-        return ModelKey.for_graph(
-            graph, r=self.config.r, seed=self.config.seed,
-            executor=self.config.executor, workers=self.config.workers,
-            sampler=self.config.sampler,
-        )
+        return ModelKey.for_graph(graph, r=self.config.r,
+                                  seed=self.config.seed,
+                                  sampler=self.config.sampler)
 
     def model_for(self, graph: InfluenceGraph) -> CoarsenResult:
         """The coarsened model for ``graph`` — cached, warm-loaded, or built.
@@ -428,11 +409,7 @@ class InfluenceService:
                     )
                 else:
                     model = coarsen_influence_graph(
-                        graph,
-                        self.config.r,
-                        rng=ensure_rng(self.config.seed),
-                        executor=self.config.executor,
-                        workers=self.config.workers,
+                        graph, self.config.r, rng=ensure_rng(self.config.seed)
                     )
             self.cache.put(key, model)
             return model
@@ -542,7 +519,6 @@ class InfluenceService:
                     read = SamplePool(
                         model.coarse,
                         rng=ensure_rng(self.config.seed),
-                        model=self.config.model,
                         chunk_sets=self.config.chunk_samples,
                     )
                 self._pools[rkey] = read
@@ -567,7 +543,6 @@ class InfluenceService:
                 try:
                     self._shard = ShardRuntime(
                         self.config.shard_workers,
-                        model=self.config.model,
                         chunk_sets=self.config.chunk_samples,
                     )
                 except ShardError as exc:
@@ -830,7 +805,6 @@ class InfluenceService:
             "config": {
                 "r": self.config.r,
                 "seed": self.config.seed,
-                "executor": self.config.executor,
                 "sampler": self.config.sampler,
                 "estimator": self.config.estimator,
                 "sketch_k": self.config.sketch_k,

@@ -4,7 +4,7 @@ The in-process serving stack (:mod:`repro.serve.service`) grows RR-set
 pools on a thread pool — which the GIL serialises whenever sampling is
 numpy-light.  This module moves growth and scoring into a persistent
 fleet of **worker processes** that all attach the same
-:class:`~repro.graph.shm.SharedModel` segment (the PR-4 zero-copy CSR
+:class:`~repro.graph.shm.SharedGraph` segment (a zero-copy CSR
 broadcast), so a batched ``/estimate`` fans out across cores while the
 parent keeps everything stateful: request parsing, admission control,
 deadline bookkeeping, and the fine-to-coarse seed mapping.
@@ -59,12 +59,7 @@ import numpy as np
 from ..diffusion.rr_sets import CoverageInstance, RRSampler
 from ..errors import AlgorithmError, ReproError
 from ..graph.influence_graph import InfluenceGraph
-from ..graph.shm import (
-    SharedModel,
-    SharedModelSpec,
-    attach_shared_model,
-    detach_shared_graph,
-)
+from ..graph.shm import SharedGraph, attach_shared_graph, detach_shared_graph
 from ..obs import inc, set_gauge, span
 from ..rng import ensure_rng, indexed_rng
 from .pool import PooledRead
@@ -99,7 +94,7 @@ class _WorkerShard:
     """
 
     def __init__(self, graph: InfluenceGraph, worker_id: int, n_workers: int,
-                 entropy: int, model: str, chunk_sets: int) -> None:
+                 entropy: int, chunk_sets: int) -> None:
         self.graph = graph
         self.worker_id = worker_id
         self.n_workers = n_workers
@@ -107,7 +102,7 @@ class _WorkerShard:
         # Deadline-check granularity, scaled down so the fleet overshoots
         # a deadline by about one *global* chunk, not T of them.
         self.chunk_sets = max(1, chunk_sets // n_workers)
-        self.sampler = RRSampler(graph, rng=ensure_rng(entropy), model=model)
+        self.sampler = RRSampler(graph, rng=ensure_rng(entropy))
         self.rr_sets: "list[np.ndarray]" = []
         self._coverage: "CoverageInstance | None" = None
         self._coverage_size = 0
@@ -149,11 +144,11 @@ def _handle_task(shards: "dict[str, _WorkerShard]", worker_id: int,
     if kind == "ping":
         return worker_id
     if kind == "attach":
-        _, spec, entropy, model, chunk_sets = msg
-        if spec.token not in shards:
-            graph = attach_shared_model(spec)
-            shards[spec.token] = _WorkerShard(
-                graph, worker_id, n_workers, entropy, model, chunk_sets)
+        _, token, spec, entropy, chunk_sets = msg
+        if token not in shards:
+            graph = attach_shared_graph(spec)
+            shards[token] = _WorkerShard(
+                graph, worker_id, n_workers, entropy, chunk_sets)
         return None
     if kind == "grow":
         _, token, target, remaining = msg
@@ -239,7 +234,7 @@ class _Worker:
 class _ModelState:
     """Parent bookkeeping for one model resident in the fleet."""
 
-    shared: SharedModel
+    shared: SharedGraph
     counts: "list[int]"
     pool: "ShardPool"
     entropy: int = 0
@@ -249,7 +244,7 @@ class ShardRuntime:
     """A persistent fleet of shard workers serving published models.
 
     The runtime is the parent-side owner of everything cross-process:
-    worker lifecycles, the per-model :class:`~repro.graph.shm.SharedModel`
+    worker lifecycles, the per-model :class:`~repro.graph.shm.SharedGraph`
     segments, and the strided-shard bookkeeping.  All operations are
     serialised on one lock — a fan-out *round* (send to all workers,
     collect all replies) is the unit of concurrency, and the parallelism
@@ -261,13 +256,11 @@ class ShardRuntime:
     bit-for-bit identical answers under the indexed-stream discipline.
     """
 
-    def __init__(self, n_workers: int, *, model: str = "ic",
-                 chunk_sets: int = 256,
+    def __init__(self, n_workers: int, *, chunk_sets: int = 256,
                  start_timeout: float = DEFAULT_START_TIMEOUT) -> None:
         if n_workers <= 0:
             raise ShardError("shard runtime needs at least one worker")
         self.n_workers = n_workers
-        self._model = model
         self._chunk_sets = chunk_sets
         self._lock = threading.Lock()
         self._models: "dict[str, _ModelState]" = {}  #: guarded-by: _lock
@@ -379,16 +372,16 @@ class ShardRuntime:
             self._ensure_open()
             state = self._models.get(token)
             if state is None:
-                shared = SharedModel.publish(token, coarse)
+                shared = SharedGraph.publish(coarse)
                 try:
-                    self._broadcast(("attach", shared.spec, entropy,
-                                     self._model, self._chunk_sets))
+                    self._broadcast(("attach", token, shared.spec, entropy,
+                                     self._chunk_sets))
                 except ShardError:
                     self._broken = True
                     shared.unlink()
                     raise
                 inc("serve.shard.models")
-                inc("serve.shard.publish_bytes", shared.nbytes)
+                inc("serve.shard.publish_bytes", shared.spec.nbytes)
                 state = _ModelState(
                     shared=shared,
                     counts=[0] * self.n_workers,
@@ -417,7 +410,7 @@ class ShardRuntime:
                 state = self._models.pop(token)
                 try:
                     self._broadcast(
-                        ("detach", token, state.shared.spec.graph.name))
+                        ("detach", token, state.shared.spec.name))
                 except ShardError:
                     self._broken = True
                     raise

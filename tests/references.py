@@ -9,6 +9,11 @@ None of these is reachable from the library:
 * :func:`reference_fold` — the r-robust fold ``P_i = P_{i-1} ∧ SCC(G_i)``
   over the same live-edge samples :func:`repro.core.robust_scc_partition`
   draws, with a reference SCC routine per sample and no early exit;
+* :func:`reference_parallel_fold` — Algorithm 6's first stage run
+  serially: the same spawned per-worker seeds as
+  :func:`repro.core.parallel.coarsen_influence_graph_parallel`, one
+  :func:`repro.core.robust_scc_partition` per worker, and a left-fold meet
+  instead of the pooled meet tree;
 * :func:`lexsort_combine` and :func:`lexsort_csr` — the two-key
   ``np.lexsort`` + unbuffered ``np.add.at`` builds that
   :func:`repro.graph.combine_parallel_edges` and
@@ -22,11 +27,12 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.core import robust_scc_partition, split_rounds
 from repro.diffusion import sample_live_edge_csr
 from repro.errors import PartitionError
 from repro.graph import InfluenceGraph
 from repro.partition import Partition
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, spawn_rngs
 from repro.scc import kosaraju_scc_labels, tarjan_scc_labels
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "lexsort_csr",
     "meet_labels_hash",
     "reference_fold",
+    "reference_parallel_fold",
     "scipy_scc_labels",
 ]
 
@@ -97,6 +104,20 @@ def reference_fold(
         indptr, heads = sample_live_edge_csr(graph, rng)
         blocks = Partition(scc(indptr, heads))
         partition = Partition(meet_labels_hash(partition.labels, blocks.labels))
+    return partition
+
+
+def reference_parallel_fold(graph: InfluenceGraph, r: int, workers: int,
+                            rng=None) -> Partition:
+    """Algorithm 6's r-robust partition folded serially: worker ``t`` of
+    ``split_rounds(r, workers)`` builds its ``r_t``-robust partition from
+    its spawned seed, and the worker partitions meet left to right."""
+    rounds = split_rounds(r, workers)
+    seeds = [int(c.integers(0, 2**62))
+             for c in spawn_rngs(rng, len(rounds))]
+    partition = robust_scc_partition(graph, rounds[0], rng=seeds[0])
+    for r_t, seed in zip(rounds[1:], seeds[1:]):
+        partition = partition.meet(robust_scc_partition(graph, r_t, rng=seed))
     return partition
 
 

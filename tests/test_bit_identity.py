@@ -13,8 +13,8 @@ and a prefix index) must pick the same seeds.
 The coarsening digests (:class:`TestCoarseningPins`) were recorded at commit
 3bce825, while the r-robust fold still passed the running partition to the
 SCC kernel as a block restriction.  They pin the partition labels, ``pi``
-and the coarse graph's digest of Algorithm 1, Algorithm 6 (thread and
-process executors), Algorithm 2, the addressable cold rebuild, a
+and the coarse graph's digest of Algorithm 1, Algorithm 6 (its thread pool,
+``workers=3``), Algorithm 2, the addressable cold rebuild, a
 :class:`DynamicCoarsener` after a mixed insert/delete batch, and the
 refinement chain.  The coarse-graph digests were re-pinned once, when a
 one-member edge bundle began keeping its ``p`` instead of
@@ -275,10 +275,11 @@ class TestCoarseningPins:
         result = coarsen_influence_graph(mixed_graph, 12, rng=5)
         assert _coarsening_digests(result) == _ALGORITHM_1
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_algorithm_6(self, mixed_graph, executor):
+    @pytest.mark.parallel
+    @pytest.mark.parametrize("workers", [3])
+    def test_algorithm_6(self, mixed_graph, workers):
         result = coarsen_influence_graph(mixed_graph, 12, rng=5,
-                                         executor=executor, workers=3)
+                                         workers=workers)
         assert _coarsening_digests(result) == (
             2570, "3a3e846fb709346e5de22b1c5d752c8c",
             "3a3e846fb709346e5de22b1c5d752c8c",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import coarsen_influence_graph
 from repro.graph import read_edge_list, write_edge_list
 
 from .conftest import build_graph
@@ -70,46 +71,47 @@ class TestCoarsen:
         assert "reliability factor" in out
         assert "Theorem 6.1" in out
 
+    @pytest.mark.parallel
     def test_parallel_flags(self, edge_list, capsys):
-        assert main(
-            ["coarsen", edge_list, "-r", "4", "--seed", "0",
-             "--executor", "thread", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "parallel: executor=thread workers=2" in out
-        assert "meet tree depth 1" in out
-
-    def test_workers_clamp_reported(self, edge_list, capsys):
-        assert main(
-            ["coarsen", edge_list, "-r", "2", "--seed", "0",
-             "--executor", "serial", "--workers", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "workers=2 (clamped from 8)" in out
-
-    def test_workers_alone_defaults_to_thread_executor(self, edge_list,
-                                                       capsys):
         assert main(
             ["coarsen", edge_list, "-r", "4", "--seed", "0",
              "--workers", "2"]
         ) == 0
-        assert "executor=thread" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "parallel: workers=2" in out
+        assert "meet tree depth 1" in out
 
-    def test_parallel_executors_agree_on_output_files(self, edge_list,
-                                                      tmp_path, capsys):
-        """serial and thread executors write identical coarse graph and
-        mapping for the same (r, workers, seed) — the cross-executor
-        determinism contract surfaced at the CLI level."""
-        serial = str(tmp_path / "serial.txt")
-        threaded = str(tmp_path / "thread.txt")
-        for executor, path in (("serial", serial), ("thread", threaded)):
-            assert main(["coarsen", edge_list, "-r", "4", "--seed", "0",
-                         "--executor", executor, "--workers", "2",
-                         "-o", path]) == 0
-        assert read_edge_list(serial) == read_edge_list(threaded)
+    @pytest.mark.parallel
+    def test_workers_clamp_reported(self, edge_list, capsys):
+        assert main(
+            ["coarsen", edge_list, "-r", "2", "--seed", "0",
+             "--workers", "8"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "workers=2 (clamped from 8)" in out
+
+    def test_executor_flag_is_gone(self, edge_list, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coarsen", edge_list, "--executor", "thread",
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    @pytest.mark.parallel
+    def test_parallel_output_files_match_library(self, edge_list, tmp_path,
+                                                 capsys):
+        """``--workers 2 -o`` writes the coarse graph and mapping of
+        Algorithm 6 for the same (r, workers, seed)."""
+        path = str(tmp_path / "thread.txt")
+        assert main(["coarsen", edge_list, "-r", "4", "--seed", "0",
+                     "--workers", "2", "-o", path]) == 0
+        expected = coarsen_influence_graph(read_edge_list(edge_list), r=4,
+                                           rng=0, workers=2)
+        want = str(tmp_path / "expected.txt")
+        write_edge_list(expected.coarse, want)
+        assert read_edge_list(path) == read_edge_list(want)
         assert np.array_equal(
-            np.loadtxt(serial + ".mapping", dtype=np.int64),
-            np.loadtxt(threaded + ".mapping", dtype=np.int64))
+            np.loadtxt(path + ".mapping", dtype=np.int64), expected.pi)
 
 
 class TestEstimate:

@@ -34,6 +34,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import Delta, coarsen_addressable
+from repro.errors import AlgorithmError
 from repro.serve import InfluenceService, ServiceConfig
 from .conftest import random_graph
 
@@ -140,6 +141,14 @@ class DynamicDifferentialMachine(RuleBasedStateMachine):
 
     @rule(k=st.integers(min_value=1, max_value=3))
     def maximize(self, k: int) -> None:
+        # A k above the coarse vertex count is refused, alike on both paths.
+        if k > self.dynamic.model.coarse.n:
+            with pytest.raises(AlgorithmError) as dynamic_error:
+                self.dynamic.maximize(k)
+            with pytest.raises(AlgorithmError) as cold_error:
+                self.oracle.maximize(self.dynamic.graph, k)
+            assert str(dynamic_error.value) == str(cold_error.value)
+            return
         epoch, result = self.dynamic.maximize(k)
         expected = self.oracle.maximize(self.dynamic.graph, k)
         assert list(result.seeds) == list(expected.seeds)

@@ -110,6 +110,7 @@ class TestSublinearSpace:
             coarsen_influence_graph(src, space="sublinear", out_path=tmp_path / "h.trip", r=-1)
 
 
+@pytest.mark.parallel
 class TestParallel:
     def test_split_rounds_balanced(self):
         assert split_rounds(16, 4) == [4, 4, 4, 4]
@@ -133,44 +134,18 @@ class TestParallel:
         with pytest.raises(AlgorithmError):
             split_rounds(4, 0)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_executors_match_serial(self, two_cliques_graph, executor):
-        serial = coarsen_influence_graph(
-            two_cliques_graph, r=8, workers=4, rng=3, executor="serial"
-        )
-        other = coarsen_influence_graph(
-            two_cliques_graph, r=8, workers=4, rng=3, executor=executor
-        )
-        assert serial.coarse == other.coarse
-        assert np.array_equal(serial.pi, other.pi)
-
-    def test_process_executor(self, two_cliques_graph):
-        serial = coarsen_influence_graph(
-            two_cliques_graph, r=4, workers=2, rng=3, executor="serial"
-        )
-        proc = coarsen_influence_graph(
-            two_cliques_graph, r=4, workers=2, rng=3, executor="process"
-        )
-        assert serial.coarse == proc.coarse
-
-    def test_invalid_executor(self, two_cliques_graph):
-        with pytest.raises(CoarseningError):
-            coarsen_influence_graph(
-                two_cliques_graph, r=4, workers=2, executor="gpu"
-            )
-
     def test_same_distribution_as_sequential(self, two_cliques_graph):
         """Both find the two cliques regardless of parallel split."""
         seq = coarsen_influence_graph(two_cliques_graph, r=8, rng=0)
         par = coarsen_influence_graph(
-            two_cliques_graph, r=8, workers=4, rng=0, executor="serial"
+            two_cliques_graph, r=8, workers=4, rng=0
         )
         assert seq.coarse.n == par.coarse.n == 2
         assert seq.coarse.weights.tolist() == par.coarse.weights.tolist()
 
     def test_stats_extras(self, two_cliques_graph):
         res = coarsen_influence_graph(
-            two_cliques_graph, r=7, workers=3, rng=0, executor="serial"
+            two_cliques_graph, r=7, workers=3, rng=0
         )
         assert res.stats.extras["workers"] == 3
         assert res.stats.extras["requested_workers"] == 3
@@ -178,7 +153,7 @@ class TestParallel:
 
     def test_worker_clamp_recorded_in_extras(self, two_cliques_graph):
         res = coarsen_influence_graph(
-            two_cliques_graph, r=2, workers=8, rng=0, executor="serial"
+            two_cliques_graph, r=2, workers=8, rng=0
         )
         assert res.stats.extras["workers"] == 2
         assert res.stats.extras["requested_workers"] == 8
@@ -187,17 +162,17 @@ class TestParallel:
     def test_clamped_pool_matches_exact_pool(self, two_cliques_graph):
         """workers=8 with r=2 is the same run as workers=2 with r=2."""
         clamped = coarsen_influence_graph(
-            two_cliques_graph, r=2, workers=8, rng=5, executor="serial"
+            two_cliques_graph, r=2, workers=8, rng=5
         )
         exact = coarsen_influence_graph(
-            two_cliques_graph, r=2, workers=2, rng=5, executor="serial"
+            two_cliques_graph, r=2, workers=2, rng=5
         )
         assert clamped.coarse == exact.coarse
         assert np.array_equal(clamped.pi, exact.pi)
 
     def test_r_zero_parallel_is_trivial(self, paper_graph):
         res = coarsen_influence_graph(
-            paper_graph, r=0, workers=4, rng=0, executor="serial"
+            paper_graph, r=0, workers=4, rng=0
         )
         assert res.coarse.n == 1
         assert res.coarse.weights.tolist() == [9]

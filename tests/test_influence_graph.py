@@ -73,6 +73,21 @@ class TestConstruction:
                 2, np.array([1]), np.array([1]), np.array([0.5])
             )
 
+    def test_csr_constructor_rejects_self_loop(self):
+        with pytest.raises(GraphFormatError, match="self-loops"):
+            InfluenceGraph(np.array([0, 1, 2]), np.array([1, 1]),
+                           np.array([0.5, 0.5]))
+
+    def test_validation_caches_no_tails(self, paper_graph):
+        """Validating checks self-loops without keeping an m-long tails
+        array on the graph (block subgraphs never read theirs)."""
+        sub = paper_graph.induced_subgraph(np.array([0, 1, 2]))
+        assert sub._tails is None
+        g = InfluenceGraph(np.array([0, 1, 2]), np.array([1, 0]),
+                           np.array([0.5, 0.5]))
+        assert g._tails is None
+        assert g.tails().tolist() == [0, 1]
+
     def test_rejects_duplicate_edges(self):
         with pytest.raises(GraphFormatError):
             InfluenceGraph.from_edges(

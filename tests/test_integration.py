@@ -102,11 +102,10 @@ class TestStorageRoundTrips:
         assert a.coarse == b.coarse
 
 
+@pytest.mark.parallel
 class TestParallelConsistency:
     def test_parallel_result_usable_by_frameworks(self, slashdot):
-        result = coarsen_influence_graph(
-            slashdot, r=8, workers=2, rng=0, executor="thread"
-        )
+        result = coarsen_influence_graph(slashdot, r=8, workers=2, rng=0)
         est = estimate_on_coarse(
             result, np.array([0]), make_estimator("mc", n_samples=2_000, rng=1)
         )

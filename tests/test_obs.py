@@ -264,12 +264,11 @@ class TestPipelineInstrumentation:
         assert total_staged >= 0.5 * stats.total_seconds
         assert stats.stage_summary().startswith("stages: ")
 
+    @pytest.mark.parallel
     def test_parallel_thread_executor_traces_are_valid(self):
         g = random_graph(80, 400, seed=7)
         result, records = traced(
-            lambda: coarsen_influence_graph(
-                g, r=4, workers=2, rng=0, executor="thread"
-            )
+            lambda: coarsen_influence_graph(g, r=4, workers=2, rng=0)
         )
         for record in records:
             obs.validate_record(record)

@@ -50,19 +50,16 @@ class TestRoundTrip:
     def test_stage_seconds_and_extras_preserved(self, tmp_path,
                                                 two_cliques_graph):
         """v2 fixes the round trip dropping the very stats a parallel run
-        produces: the per-stage breakdown and workers/executor/rounds."""
-        result = coarsen_influence_graph(
-            two_cliques_graph, r=6, workers=3, rng=0, executor="serial"
-        )
+        produces: the per-stage breakdown and workers/rounds."""
+        result = coarsen_influence_graph(two_cliques_graph, r=6, workers=3,
+                                         rng=0)
         assert result.stats.stage_seconds  # sanity: there is something to lose
-        assert result.stats.extras["executor"] == "serial"
         path = tmp_path / "par.npz"
         save_coarsening(result, path)
         back = load_coarsening(path)
         assert back.stats.stage_seconds == result.stats.stage_seconds
         assert back.stats.extras["workers"] == 3
         assert back.stats.extras["requested_workers"] == 3
-        assert back.stats.extras["executor"] == "serial"
         assert back.stats.extras["rounds"] == result.stats.extras["rounds"]
 
     def test_numpy_scalars_in_extras_serialise(self, tmp_path,
@@ -103,9 +100,8 @@ class TestVersionCompat:
     def test_v1_archive_still_loads(self, tmp_path, two_cliques_graph):
         """Archives written by the version-1 layout (no stage_seconds or
         extras in the meta blob) load with empty dicts."""
-        result = coarsen_influence_graph(
-            two_cliques_graph, r=4, workers=2, rng=0, executor="serial"
-        )
+        result = coarsen_influence_graph(two_cliques_graph, r=4, workers=2,
+                                         rng=0)
         path = tmp_path / "v1.npz"
         save_coarsening(result, path)
         data = dict(np.load(path))

@@ -59,9 +59,6 @@ class TestModelKey:
         assert ModelKey.for_graph(graph, r=5, seed=0) != base
         assert ModelKey.for_graph(graph, r=4, seed=1) != base
         assert ModelKey.for_graph(graph, r=4, seed=0,
-                                  executor="thread") != base
-        assert ModelKey.for_graph(graph, r=4, seed=0, workers=2) != base
-        assert ModelKey.for_graph(graph, r=4, seed=0,
                                   sampler="addressable") != base
         other = random_graph(120, 500, seed=4)
         assert ModelKey.for_graph(other, r=4, seed=0) != base
@@ -71,15 +68,14 @@ class TestModelKey:
             ModelKey.for_graph(graph, 4, 0)
 
     def test_keys_agree_exactly_when_models_do(self):
-        """Two configs share a key iff they build the same model: the key
-        follows the Algorithm 6 round split, not the executor name."""
+        """Two configs share a key iff they build the same model; the
+        serving knobs stay out of the key."""
         graph = random_graph(300, 1200, seed=5)
-        knobs = [("serial", None), ("serial", 2), ("thread", 2),
-                 ("process", 2), ("thread", 4), ("thread", 9)]
+        knobs = [dict(r=4), dict(r=4, max_workers=1, n_samples=500),
+                 dict(r=5), dict(r=4, seed=1), dict(r=4, sampler="addressable")]
         keys, models = [], []
-        for executor, workers in knobs:
-            with InfluenceService(ServiceConfig(
-                    r=4, executor=executor, workers=workers)) as svc:
+        for knob in knobs:
+            with InfluenceService(ServiceConfig(**knob)) as svc:
                 keys.append(svc.key_for(graph))
                 model = svc.model_for(graph)
                 models.append((model.coarse.digest(), model.pi.tobytes()))
@@ -87,10 +83,10 @@ class TestModelKey:
             for j in range(len(knobs)):
                 assert (keys[i] == keys[j]) == (models[i] == models[j]), (
                     knobs[i], knobs[j])
-        # Non-vacuous: thread and process share one model and key, and
-        # Algorithm 1, the 2-way and the 4-way split are three models.
-        assert keys[2] == keys[3]
-        assert len({models[0], models[1], models[4]}) == 3
+        # Non-vacuous: the serving knobs share one model and key, and each
+        # model knob builds a model of its own.
+        assert keys[0] == keys[1]
+        assert len(set(models)) == 4
 
     def test_digest_is_cached_and_stable(self, graph):
         assert graph.digest() == graph.digest()
@@ -98,27 +94,14 @@ class TestModelKey:
 
 
 class TestServiceConfigValidation:
-    @pytest.mark.parametrize("executor", ["bogus", "Thread", ""])
-    def test_rejects_unknown_executor(self, executor):
-        with pytest.raises(ValueError, match="executor must be one of"):
-            ServiceConfig(executor=executor)
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_rejects_non_positive_workers(self, workers):
-        with pytest.raises(ValueError, match="workers must be positive"):
-            ServiceConfig(workers=workers)
-
-    def test_accepts_every_executor_and_positive_workers(self):
-        for executor in ("serial", "thread", "process"):
-            assert ServiceConfig(executor=executor, workers=2).workers == 2
-        assert ServiceConfig().workers is None
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_addressable_rejects_workers(self, workers):
-        # coarsen_addressable has no worker knob; the value would be ignored
-        with pytest.raises(ValueError, match="takes no workers"):
-            ServiceConfig(sampler="addressable", workers=workers)
-        assert ServiceConfig(sampler="addressable").workers is None
+    @pytest.mark.parametrize("field, value", [
+        ("executor", "thread"), ("workers", 2),
+        # Theorems 4.6/6.1 are IC-only: no served answer may be LT.
+        ("model", "lt"),
+    ])
+    def test_removed_fields_fail_at_construction(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            ServiceConfig(**{field: value})
 
 
 class TestModelCache:
@@ -184,6 +167,24 @@ class TestModelCache:
         )
         b = ModelCache(max_models=2, warm_dir=warm)
         assert b.get(other) is None  # stamped key does not match
+
+    def test_archive_stamped_with_round_split_key_is_a_miss(
+            self, tmp_path, graph, model):
+        """Archives from before ``ModelKey`` lost ``rounds`` load as a clean
+        miss, even when one sits at the current token's path."""
+        from repro.core import save_coarsening
+
+        warm = tmp_path / "warm"
+        warm.mkdir()
+        key = ModelKey.for_graph(graph, r=4, seed=0)
+        model.stats.extras["serve_model_key"] = dict(key.as_meta(),
+                                                     rounds=None)
+        save_coarsening(model, warm / (key.token() + ".npz"))
+        registry = obs.MetricsRegistry()
+        with obs.use_metrics(registry):
+            assert ModelCache(max_models=2, warm_dir=warm).get(key) is None
+        assert registry.counter("serve.cache.miss") == 1
+        assert registry.counter("serve.cache.warm_hit") == 0
 
     def test_corrupt_warm_archive_degrades_to_miss(self, tmp_path, graph):
         warm = tmp_path / "warm"

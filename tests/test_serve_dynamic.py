@@ -56,10 +56,6 @@ class TestEpochProtocol:
             with pytest.raises(AlgorithmError, match="addressable"):
                 svc.attach_dynamic(g)
 
-    def test_addressable_sampler_requires_serial_executor(self):
-        with pytest.raises(ValueError, match="serial"):
-            ServiceConfig(sampler="addressable", executor="process")
-
     def test_mutations_never_cold_rebuild(self):
         """The acceptance-criterion path: warm mutations skip model builds."""
         g = _ring_graph()

@@ -50,8 +50,7 @@ class TestShardAssembly:
         pool.ensure(n)
         n_workers = 3
         shards = [
-            _WorkerShard(graph, k, n_workers, pool.entropy, "ic",
-                         chunk_sets=64)
+            _WorkerShard(graph, k, n_workers, pool.entropy, chunk_sets=64)
             for k in range(n_workers)
         ]
         counts = [shard.grow(n, deadline=None) for shard in shards]

@@ -7,9 +7,7 @@ from repro.errors import GraphFormatError
 from repro.graph import InfluenceGraph, SharedGraph
 from repro.graph.shm import (
     _ATTACHED,
-    SharedModel,
     attach_shared_graph,
-    attach_shared_model,
     detach_shared_graph,
     detach_shared_graphs,
 )
@@ -108,20 +106,6 @@ class TestPublishAttach:
             assert fresh != two_cliques_graph
         finally:
             second.unlink()
-
-
-class TestSharedModel:
-    def test_model_round_trip_and_spec(self, two_cliques_graph):
-        with SharedModel.publish("tok123", two_cliques_graph) as shared:
-            spec = shared.spec
-            assert spec.token == "tok123"
-            assert shared.nbytes == spec.graph.nbytes
-            view = attach_shared_model(spec)
-            assert view == two_cliques_graph
-        # unlink evicted the publisher-process cache entry too
-        assert spec.graph.name not in _ATTACHED
-        with pytest.raises(GraphFormatError):
-            attach_shared_model(spec)
 
 
 class TestLifecycle:
