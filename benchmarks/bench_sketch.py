@@ -11,6 +11,11 @@ instead of scoring an RR pool per query.  This bench quantifies the trade:
   Target: 100-1000x QPS.
 * **build cost** — the oracle's construction time on the throughput
   model (``throughput.oracle.build_seconds``), informational: no gate.
+* **build memory** — the tracemalloc peak of one oracle build
+  (``build_traced_peak_mb``) beside the bytes the oracle keeps
+  (``oracle_mb``), on the throughput model and for every ``k`` of the
+  accuracy sweep.  Each is measured in a build of its own, never in a
+  timed one (tracemalloc slows the interpreter).
 * **accuracy vs k** — on a small graph where complete sketches are
   affordable, every ``k`` in the sweep is compared against the *exact*
   live-edge influence (an oracle whose sketches never truncate), pinning
@@ -19,23 +24,28 @@ instead of scoring an RR pool per query.  This bench quantifies the trade:
 Acceptance (asserted whenever artefacts are written): sketch-oracle QPS
 >= 100x pooled-RIS QPS on point queries — reported with an honest
 ``asserted``/``skip_reason`` pair when the gate cannot be measured (quick
-mode, or sketch timing below timer resolution).  The equality and
-accuracy assertions are ALWAYS on, in both modes: served answers equal
-direct oracle answers bit-for-bit, the served guarantee report's rho and
-eps equal a sequential ``guarantee_report`` of the same model, and each
-sweep point keeps at least ``1 - delta`` of vertices inside its
-advertised envelope.  Results land
+mode, or sketch timing below timer resolution).  The equality,
+accuracy and memory assertions are ALWAYS on, in both modes: served
+answers equal direct oracle answers bit-for-bit, the served guarantee
+report's rho and eps equal a sequential ``guarantee_report`` of the same
+model, each sweep point keeps at least ``1 - delta`` of vertices inside
+its advertised envelope, and the throughput model's build peak stays
+within ``BUILD_PEAK_MULTIPLE`` (``tests/test_sketch.py``) times the
+oracle's bytes plus the union reverse CSR's.  Results land
 in ``benchmarks/results/sketch.json`` and the repo-root
 ``BENCH_sketch.json``.
 
 CI runs ``python benchmarks/bench_sketch.py --quick`` as a correctness
-canary: a small graph, every equality/accuracy assertion, no timing gates
-and no files written.
+canary: a small graph, every equality/accuracy/memory assertion, no
+timing gates and no files written.  The recorded artefacts carry a
+``host`` block (cores, commit, Python and numpy versions).
 """
 
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import sys
 import time
 
@@ -43,6 +53,7 @@ import numpy as np
 
 from repro.analysis import guarantee_report
 from repro.bench import render_table, save_json
+from repro.bench.memory import measure
 from repro.core import coarsen_influence_graph
 from repro.diffusion.reachability import reachable_mask
 from repro.graph import InfluenceGraph
@@ -66,8 +77,35 @@ SWEEP_N, SWEEP_M = 600, 3_000
 CORE_N = 24
 QPS_GATE = 100.0
 
-ROOT_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
-                         "BENCH_sketch.json")
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                         os.pardir))
+ROOT_JSON = os.path.join(REPO_ROOT, "BENCH_sketch.json")
+
+
+def _host() -> dict:
+    """Where the record was made: cores, commit and library versions."""
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+        cwd=REPO_ROOT, capture_output=True, text=True).stdout.strip()
+    return {"cores": os.cpu_count(), "commit": commit or None,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
+
+
+def _build_memory(coarse, k: int) -> dict:
+    """Traced peak of one oracle build and the bytes the oracle keeps.
+
+    The union reverse CSR's bytes (``8 * (r * n + 1 + union_edges)``)
+    are the other array the build must hold; the memory bound is stated
+    against the two together.
+    """
+    run = measure(InfluenceOracle, coarse, r=R, k=k, rng=0)
+    oracle = run.result
+    csr_bytes = 8 * (oracle.stats.items + 1 + oracle.stats.union_edges)
+    return {"build_traced_peak_mb": run.peak_mb,
+            "oracle_mb": oracle.nbytes / 2**20,
+            "union_csr_mb": csr_bytes / 2**20,
+            "peak_multiple": run.peak_bytes / (oracle.nbytes + csr_bytes)}
 
 
 def _point_vertices(n: int, count: int) -> list[int]:
@@ -133,6 +171,10 @@ def _throughput(graph, queries: int) -> dict:
     sketch_values = [float(v) for v in sketch_batch]
     # The batch face is exactly the per-call face, vectorized.
     assert sketch_values == [oracle.point(c) for c in targets]
+    memory = _build_memory(coarse, SKETCH_K)
+    # Always on: the build's transient memory stays a bounded multiple of
+    # what it keeps, the bound tests/test_sketch.py pins.
+    assert memory["peak_multiple"] <= _peak_multiple_bound(), memory
 
     # Accuracy (always on): every sketch answer sits in the advertised
     # Chebyshev envelope of the exact realised-rounds influence, up to
@@ -161,7 +203,7 @@ def _throughput(graph, queries: int) -> dict:
         },
         "oracle": {"k": SKETCH_K, "r": R, "nbytes": oracle.nbytes,
                    "eps": eps, "coarse_n": coarse.n,
-                   "build_seconds": build_seconds},
+                   "build_seconds": build_seconds, **memory},
         "accuracy": {
             "mean_rel_error_vs_exact": float(rel.mean()),
             "max_rel_error_vs_exact": float(rel.max()),
@@ -171,6 +213,16 @@ def _throughput(graph, queries: int) -> dict:
             "mean_rel_gap_vs_pooled_ris": ris_gap,
         },
     }
+
+
+def _peak_multiple_bound() -> float:
+    """``BUILD_PEAK_MULTIPLE`` from ``tests/test_sketch.py`` (one bound for
+    the test and this canary; the repo root is put on ``sys.path``)."""
+    if REPO_ROOT not in sys.path:
+        sys.path.insert(0, REPO_ROOT)
+    from tests.test_sketch import BUILD_PEAK_MULTIPLE
+
+    return BUILD_PEAK_MULTIPLE
 
 
 def _with_dense_core(graph):
@@ -242,6 +294,7 @@ def _accuracy_sweep() -> list[dict]:
             "max_rel_error": float(rel.max()),
             "frac_outside_envelope": outside,
             "sketch_nbytes": oracle.nbytes,
+            **_build_memory(coarse, k),
         })
     # More budget, less error: the sweep endpoints must order correctly.
     assert rows[-1]["mean_rel_error"] <= rows[0]["mean_rel_error"], rows
@@ -270,7 +323,8 @@ def generate(quick: bool = False) -> dict:
         asserted, skip_reason = True, None
 
     raw = {
-        "schema": "bench_sketch/v1",
+        "schema": "bench_sketch/v2",
+        "host": _host(),
         "graph": {"n": graph.n, "m": graph.m},
         "r": R,
         "n_samples": N_SAMPLES,
@@ -293,13 +347,20 @@ def generate(quick: bool = False) -> dict:
         ["backend", "queries/s", "speedup"], tiers))
     print(render_table(
         f"Accuracy vs k (n={SWEEP_N}, m={SWEEP_M}, delta={DELTA})",
-        ["k", "advertised eps", "mean rel err", "max rel err", "outside"],
+        ["k", "advertised eps", "mean rel err", "max rel err", "outside",
+         "build peak MB", "oracle MB"],
         [[str(row["k"]), f"{row['advertised_eps']:.3f}",
           f"{row['mean_rel_error']:.4f}", f"{row['max_rel_error']:.4f}",
-          f"{row['frac_outside_envelope']:.3f}"] for row in sweep]))
+          f"{row['frac_outside_envelope']:.3f}",
+          f"{row['build_traced_peak_mb']:.2f}",
+          f"{row['oracle_mb']:.2f}"] for row in sweep]))
     built = throughput["oracle"]
     print(f"oracle build (coarse n={built['coarse_n']:,}): "
-          f"{built['build_seconds']:.3f} s")
+          f"{built['build_seconds']:.3f} s, traced peak "
+          f"{built['build_traced_peak_mb']:.1f} MB for a "
+          f"{built['oracle_mb']:.1f} MB oracle "
+          f"({built['peak_multiple']:.2f}x oracle + union CSR, bound "
+          f"{_peak_multiple_bound()}x)")
     print(f"served == direct oracle and served report == sequential "
           f"report (bit-for-bit): {serving_ok}; "
           f"QPS gate asserted: {asserted}"
@@ -313,7 +374,7 @@ def generate(quick: bool = False) -> dict:
 
 def bench_sketch(benchmark):
     raw = run_once(benchmark, lambda: generate(quick=True))
-    assert raw["schema"] == "bench_sketch/v1"
+    assert raw["schema"] == "bench_sketch/v2"
     assert raw["serving_matches_oracle"]
     assert all(row["frac_outside_envelope"] <= DELTA
                for row in raw["accuracy_vs_k"])

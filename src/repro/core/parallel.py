@@ -59,10 +59,15 @@ def split_rounds(r: int, workers: int) -> list[int]:
 
 
 def _worker(graph: InfluenceGraph, index: int, r_t: int,
-            seed: int) -> np.ndarray:
+            seed: int) -> "tuple[np.ndarray, StageTimes]":
+    """One worker's labels and its own ``sample``/``scc``/``meet`` times
+    (each worker accumulates into its own :class:`StageTimes`; the caller
+    merges them once the pool has joined)."""
+    stages = StageTimes()
     with span("parallel_worker", worker=index, r_t=r_t):
-        partition = robust_scc_partition(graph, r_t, rng=seed)
-    return partition.labels
+        partition = robust_scc_partition(graph, r_t, rng=seed,
+                                         stages=stages)
+    return partition.labels, stages
 
 
 def coarsen_influence_graph_parallel(
@@ -79,7 +84,10 @@ def coarsen_influence_graph_parallel(
     derived from ``rng`` before the pool is created, and the meet tree is
     exact (Theorem 4.11).  ``workers`` is clamped to ``min(workers, r)`` —
     see :func:`split_rounds`; ``stats.extras`` records both the requested
-    and the effective count.
+    and the effective count.  ``stats.stage_seconds`` sums the workers'
+    ``sample``/``scc``/``meet`` times with the caller's meet tree and
+    contraction, so under ``T`` concurrent workers it can exceed the
+    wall time.
     """
     stages = StageTimes()
     rounds = split_rounds(r, workers)
@@ -95,7 +103,11 @@ def coarsen_influence_graph_parallel(
                     pool.submit(_worker, graph, i, r_t, seed)
                     for i, (r_t, seed) in enumerate(zip(rounds, seeds))
                 ]
-                label_arrays = [f.result() for f in futures]
+                label_arrays = []
+                for future in futures:
+                    labels, worker_stages = future.result()
+                    label_arrays.append(labels)
+                    stages.merge(worker_stages)
             with stages.stage(STAGE_MEET, workers=n_workers):
                 partition = meet_all(
                     [Partition(labels, canonical=True)

@@ -100,6 +100,12 @@ SKETCH_BLOCK_CAP = 512
 #: blocks against up-to-date counts.
 _FIRST_BLOCK = 1
 
+#: Sketch rows per block of the point-estimate computation: its
+#: ``(rows, k)`` float temporaries stay a fixed size whatever ``n`` is.
+#: Each row's estimate depends on that row alone, so the height changes
+#: the memory, never the result.
+_ROW_BLOCK = 1024
+
 
 def sketch_eps(k: int, delta: float = 0.05) -> float:
     """The advertised relative-error bound of a size-``k`` sketch.
@@ -228,8 +234,8 @@ def _pruned_insertions(rev_indptr: np.ndarray, rev_heads: np.ndarray,
             if frontier.size:
                 stats.bfs_levels += 1
                 # Two sorted runs: the stable sort merges them linearly.
-                visited = np.sort(np.concatenate((visited, frontier)),
-                                  kind="stable")
+                visited = np.concatenate((visited, frontier))
+                visited.sort(kind="stable")
         if visited.size == 0:
             continue
         copies = visited >> shift  # sorted: keys are copy-major
@@ -314,6 +320,7 @@ class InfluenceOracle:
         self.stats.union_edges = int(rev_heads.size)
         keys = _pruned_insertions(rev_indptr, rev_heads, order, graph.n, k,
                                   self.stats)
+        del rev_indptr, rev_heads
         self._fold(keys, order, ranks)
 
     def _fold(self, keys: np.ndarray, order: np.ndarray,
@@ -321,40 +328,58 @@ class InfluenceOracle:
         """Combine recorded insertions into per-vertex bottom-k sketches.
 
         ``keys`` encode ``vertex * (r * n) + position``, ``position``
-        indexing ``order`` (items by ascending rank).  A vertex's copies
-        receive disjoint item sets (copy ``(i, v)`` only ever reaches
-        round-``i`` items), so the combined bottom-k is simply the ``k``
-        smallest positions among a vertex's insertions — one sort of the
-        keys, no dedup.  Sorting by position rather than rank keeps rank
-        ties in processing order.
+        indexing ``order`` (items by ascending rank); they are sorted in
+        place.  A vertex's copies receive disjoint item sets (copy
+        ``(i, v)`` only ever reaches round-``i`` items), so the combined
+        bottom-k is simply the ``k`` smallest positions among a vertex's
+        insertions — one sort of the keys, no dedup.  Sorting by position
+        rather than rank keeps rank ties in processing order.
+
+        Beside the keys, no temporary outgrows an ``(n, k)`` array and at
+        most two are alive at once: each vertex's run is found by
+        searching the sorted keys for its key range, only the first ``k``
+        of each run are gathered, the matrices are filled through a
+        row-major mask, and the point estimates are computed
+        :data:`_ROW_BLOCK` rows at a time.
         """
-        n, k = self.graph.n, self.k
-        keys = np.sort(keys)
-        vertices = keys // order.size
-        items = order[keys - vertices * order.size]
-        item_ranks = ranks[items]
-        # Position of each insertion within its vertex's sorted run.
-        starts = np.searchsorted(vertices, np.arange(n), side="left")
-        offsets = np.arange(vertices.size) - starts[vertices]
-        take = offsets < k
-        self.ranks = np.full((n, k), np.inf, dtype=np.float64)
+        n, k, flat_n = self.graph.n, self.k, order.size
+        keys.sort()
+        bounds = np.searchsorted(keys, np.arange(n + 1) * flat_n)
+        starts = bounds[:-1]
+        self.counts = np.minimum(np.diff(bounds), k)
+        positions = keys[gather_ranges(starts, starts + self.counts)]
+        positions %= flat_n
+        taken = order[positions]
+        del positions
+        # Row-major: the gathered insertions fill each row's first counts.
+        held = np.arange(k) < self.counts[:, None]
         self.items = np.full((n, k), -1, dtype=np.int64)
-        self.ranks[vertices[take], offsets[take]] = item_ranks[take]
-        self.items[vertices[take], offsets[take]] = items[take]
-        self.counts = np.minimum(
-            np.searchsorted(vertices, np.arange(n), side="right") - starts, k
-        ).astype(np.int64)
+        self.items[held] = taken
+        del taken
+        self.ranks = ranks[self.items]
+        self.ranks[~held] = np.inf
+        del held
         self._weights = self.graph.weights.astype(np.float64)
         # Precomputed point estimates make single-seed queries one read.
-        full = self.counts >= k
-        item_weights = np.where(self.items >= 0,
-                                self._weights[self.items % n], 0.0)
+        self.point_estimates = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            self.point_estimates[rows] = self._point_block(
+                self.items[rows], self.ranks[rows], self.counts[rows])
+
+    def _point_block(self, items: np.ndarray, ranks: np.ndarray,
+                     counts: np.ndarray) -> np.ndarray:
+        """Point estimates of one block of sketch rows."""
+        k = self.k
+        full = counts >= k
+        item_weights = np.where(items >= 0,
+                                self._weights[items % self.graph.n], 0.0)
         exact = item_weights.sum(axis=1)
         # Rank-conditioning estimate over the k-1 items below tau_k.  For
         # non-full rows tau is inf and the padded weights are 0, feeding
         # nan/0 into inclusion — masked out by `where` and discarded by
         # the `full` select anyway.
-        tau = self.ranks[:, k - 1]
+        tau = ranks[:, k - 1]
         head_weights = item_weights[:, : k - 1]
         with np.errstate(invalid="ignore"):
             inclusion = -np.expm1(-head_weights * tau[:, None])
@@ -362,7 +387,7 @@ class InfluenceOracle:
             head_weights, inclusion,
             out=np.zeros_like(head_weights), where=inclusion > 0,
         ).sum(axis=1)
-        self.point_estimates = np.where(full, conditioned, exact) / self.r
+        return np.where(full, conditioned, exact) / self.r
 
     # ------------------------------------------------------------------
     # Queries

@@ -14,6 +14,10 @@ None of these is reachable from the library:
   :func:`repro.core.parallel.coarsen_influence_graph_parallel`, one
   :func:`repro.core.robust_scc_partition` per worker, and a left-fold meet
   instead of the pooled meet tree;
+* :func:`reference_sketch_fold` — the bottom-k sketch fold that
+  :meth:`repro.sketch.InfluenceOracle._fold` replaced: one key sort, a
+  ``vertex`` array and ``(n, k)`` point-estimate temporaries all held at
+  once;
 * :func:`lexsort_combine` and :func:`lexsort_csr` — the two-key
   ``np.lexsort`` + unbuffered ``np.add.at`` builds that
   :func:`repro.graph.combine_parallel_edges` and
@@ -42,6 +46,7 @@ __all__ = [
     "meet_labels_hash",
     "reference_fold",
     "reference_parallel_fold",
+    "reference_sketch_fold",
     "scipy_scc_labels",
 ]
 
@@ -119,6 +124,45 @@ def reference_parallel_fold(graph: InfluenceGraph, r: int, workers: int,
     for r_t, seed in zip(rounds[1:], seeds[1:]):
         partition = partition.meet(robust_scc_partition(graph, r_t, rng=seed))
     return partition
+
+
+def reference_sketch_fold(
+    keys: np.ndarray, order: np.ndarray, ranks: np.ndarray,
+    weights: np.ndarray, r: int, k: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Per-vertex bottom-k sketches ``(ranks, items, counts,
+    point_estimates)`` from the build's recorded insertion ``keys``
+    (``vertex * (r * n) + position``, ``position`` indexing ``order``)."""
+    n = weights.size
+    keys = np.sort(keys)
+    vertices = keys // order.size
+    items = order[keys - vertices * order.size]
+    item_ranks = ranks[items]
+    # Position of each insertion within its vertex's sorted run.
+    starts = np.searchsorted(vertices, np.arange(n), side="left")
+    offsets = np.arange(vertices.size) - starts[vertices]
+    take = offsets < k
+    out_ranks = np.full((n, k), np.inf, dtype=np.float64)
+    out_items = np.full((n, k), -1, dtype=np.int64)
+    out_ranks[vertices[take], offsets[take]] = item_ranks[take]
+    out_items[vertices[take], offsets[take]] = items[take]
+    counts = np.minimum(
+        np.searchsorted(vertices, np.arange(n), side="right") - starts, k
+    ).astype(np.int64)
+    weights = weights.astype(np.float64)
+    full = counts >= k
+    item_weights = np.where(out_items >= 0, weights[out_items % n], 0.0)
+    exact = item_weights.sum(axis=1)
+    tau = out_ranks[:, k - 1]
+    head_weights = item_weights[:, : k - 1]
+    with np.errstate(invalid="ignore"):
+        inclusion = -np.expm1(-head_weights * tau[:, None])
+    conditioned = np.divide(
+        head_weights, inclusion,
+        out=np.zeros_like(head_weights), where=inclusion > 0,
+    ).sum(axis=1)
+    point_estimates = np.where(full, conditioned, exact) / r
+    return out_ranks, out_items, counts, point_estimates
 
 
 def lexsort_combine(

@@ -277,6 +277,15 @@ class TestPipelineInstrumentation:
         assert "robust_scc_partition" in names  # emitted by worker threads
         assert result.stats.stage_seconds.get("contract", 0) >= 0
 
+    @pytest.mark.parallel
+    def test_parallel_stage_seconds_cover_every_stage(self):
+        # The workers' sample/scc/meet times reach Algorithm 6's stats,
+        # merged from one StageTimes per worker.
+        g = random_graph(400, 2500, seed=5)
+        stats = coarsen_influence_graph(g, r=8, workers=2, rng=0).stats
+        assert set(stats.stage_seconds) == set(COARSEN_STAGES)
+        assert all(v >= 0 for v in stats.stage_seconds.values())
+
     def test_metrics_counters_from_coarsen(self):
         g = random_graph(60, 250, seed=1)
         registry = obs.MetricsRegistry()

@@ -9,7 +9,9 @@ Three layers of evidence:
   reconstructs the realised rounds from :func:`repro.sketch.round_masks`
   at the oracle's own entropy.  The sketch arrays themselves equal a
   brute-force per-vertex bottom-k, whatever the build's block widths,
-  and a digest recorded before block batching is pinned.
+  and a digest recorded before block batching is pinned.  The fold
+  equals the fold it replaced (``tests/references.py``) bit for bit, and
+  a build's traced peak stays a small multiple of what it keeps.
 * **Properties** — Hypothesis checks answers are invariant under seed-set
   permutation (and duplication), and that determinism holds: one entropy,
   one bit pattern.
@@ -40,6 +42,7 @@ from repro.estimators import (
 )
 from repro import obs
 from repro.analysis import guarantee_report
+from repro.bench.memory import measure
 from repro.graph import InfluenceGraph
 from repro.rng import indexed_rng
 from repro.serve import InfluenceService, ServiceConfig
@@ -54,8 +57,15 @@ from repro.sketch import (
 from repro.sketch import oracle as oracle_module
 
 from .conftest import build_graph, random_graph
+from .references import reference_sketch_fold
 
 pytestmark = pytest.mark.sketch
+
+#: Bound on a sketch build's tracemalloc peak, as a multiple of the
+#: oracle's bytes plus the union reverse CSR's (see
+#: ``TestFoldEquivalence.test_build_peak_is_bounded_by_what_it_keeps``;
+#: ``benchmarks/bench_sketch.py`` asserts the same bound).
+BUILD_PEAK_MULTIPLE = 2.5
 
 
 def exact_live_edge_influence(graph: InfluenceGraph, entropy: int, r: int,
@@ -207,6 +217,74 @@ class TestBlockBatchedBuild:
         assert (oracle.counts == 16).all()
         assert oracle.stats.insertions < 4 * g.n * 16
         assert oracle.stats.pruned > 0
+
+
+def with_weights(graph: InfluenceGraph, seed: int) -> InfluenceGraph:
+    tails, heads, probs = graph.edge_arrays()
+    weights = np.random.default_rng(seed).integers(1, 9, graph.n)
+    return InfluenceGraph.from_edges(graph.n, tails, heads, probs,
+                                     weights=weights)
+
+
+def reference_arrays(oracle: InfluenceOracle):
+    """The oracle's sketches re-folded by the reference fold from the same
+    recorded insertions (the build's steps replayed at its entropy)."""
+    graph, r, k = oracle.graph, oracle.r, oracle.k
+    keep = round_masks(graph, oracle.entropy, r)
+    rev_indptr, rev_heads = oracle_module._union_reverse_csr(graph, keep)
+    ranks = oracle_module._rank_matrix(graph, oracle.entropy, r).ravel()
+    order = np.argsort(ranks, kind="stable")
+    keys = oracle_module._pruned_insertions(
+        rev_indptr, rev_heads, order, graph.n, k, oracle_module.SketchStats())
+    return reference_sketch_fold(keys, order, ranks, graph.weights, r, k)
+
+
+class TestFoldEquivalence:
+    """The bounded-memory fold against the fold it replaced."""
+
+    @pytest.mark.parametrize("n, m, r, k, weighted, shape", [
+        (12, 30, 3, 64, False, "complete"),  # k > r * n
+        (60, 1200, 8, 8, False, "full"),
+        (300, 600, 4, 16, False, "mixed"),
+        (300, 600, 4, 16, True, "mixed"),
+        (2500, 7500, 4, 16, True, "mixed"),  # n not a multiple of a block
+    ])
+    def test_matches_reference_fold(self, n, m, r, k, weighted, shape):
+        graph = random_graph(n, m, seed=n)
+        if weighted:
+            graph = with_weights(graph, seed=n)
+        oracle = InfluenceOracle(graph, r=r, k=k, rng=n + 1)
+        full = oracle.counts == k
+        assert {"complete": not full.any(), "full": full.all(),
+                "mixed": 0 < full.mean() < 1}[shape]
+        ranks, items, counts, points = reference_arrays(oracle)
+        assert np.array_equal(oracle.ranks, ranks)
+        assert np.array_equal(oracle.items, items)
+        assert np.array_equal(oracle.counts, counts)
+        assert oracle.counts.dtype == counts.dtype
+        assert oracle.point_estimates.tobytes() == points.tobytes()
+
+    def test_row_block_height_leaves_the_digest(self, monkeypatch):
+        graph = with_weights(random_graph(300, 600, seed=5), seed=5)
+        digests = set()
+        for rows in (oracle_module._ROW_BLOCK, 1, 7, graph.n + 3):
+            monkeypatch.setattr(oracle_module, "_ROW_BLOCK", rows)
+            digests.add(InfluenceOracle(graph, r=4, k=16,
+                                        rng=6).state_digest())
+        assert len(digests) == 1, digests
+
+    def test_build_peak_is_bounded_by_what_it_keeps(self):
+        # The traced build peak, against the bytes of the oracle it keeps
+        # plus the union reverse CSR the BFS walks: 1.86x here, 4.72x with
+        # the fold it replaced (insertion-sized and (n, k) temporaries all
+        # alive at once).  A graph the fold dominates: sparse and lightly
+        # weighted, so no block's BFS reaches far.
+        graph = random_graph(3000, 15000, seed=4, p_high=0.3)
+        run = measure(InfluenceOracle, graph, r=16, k=64, rng=0)
+        oracle = run.result
+        csr_bytes = 8 * (oracle.stats.items + 1 + oracle.stats.union_edges)
+        assert run.peak_bytes <= BUILD_PEAK_MULTIPLE * (oracle.nbytes
+                                                         + csr_bytes)
 
 
 class TestEnvelope:
