@@ -202,7 +202,9 @@ def _pruned_insertions(rev_indptr: np.ndarray, rev_heads: np.ndarray,
       sketch is final.
 
     Returns the fold keys ``vertex * (r * n) + position`` of the recorded
-    insertions; ``stats`` gains their count and the pruned arrivals.
+    insertions; ``stats`` gains their count and the pruned arrivals.  Each
+    block (and each BFS level) runs in a helper of its own, so its
+    temporaries are freed before the next one allocates.
     """
     flat_n = order.size
     counts = np.zeros(flat_n, dtype=np.int64)  # per copy, capped at k
@@ -210,47 +212,84 @@ def _pruned_insertions(rev_indptr: np.ndarray, rev_heads: np.ndarray,
     recorded: "list[np.ndarray]" = []
     for start, stop in _block_spans(flat_n, _FIRST_BLOCK, SKETCH_BLOCK_CAP):
         shift = (stop - start - 1).bit_length()
-        low = (1 << shift) - 1
-        sources = order[start:stop]
-        live = counts[sources] < k
-        slots = np.flatnonzero(live)
-        stats.pruned += int(live.size - slots.size)
-        frontier = np.sort((sources[slots] << shift) | slots)
-        visited = frontier
-        while frontier.size:
-            copies = frontier >> shift
-            lo, hi = rev_indptr[copies], rev_indptr[copies + 1]
-            targets = rev_heads[gather_ranges(lo, hi)]
-            if targets.size == 0:
-                break
-            live = counts[targets] < k
-            stats.pruned += int(live.size - np.count_nonzero(live))
-            keys = (targets[live] << shift) | np.repeat(frontier & low,
-                                                       hi - lo)[live]
-            keys = sorted_distinct(keys)
-            seen = np.searchsorted(visited, keys)
-            np.minimum(seen, visited.size - 1, out=seen)
-            frontier = keys[visited[seen] != keys]
-            if frontier.size:
-                stats.bfs_levels += 1
-                # Two sorted runs: the stable sort merges them linearly.
-                visited = np.concatenate((visited, frontier))
-                visited.sort(kind="stable")
-        if visited.size == 0:
-            continue
-        copies = visited >> shift  # sorted: keys are copy-major
-        runs = np.flatnonzero(np.diff(copies, prepend=-1))
-        reached = copies[runs]
-        counts[reached] = np.minimum(
-            counts[reached] + np.diff(runs, append=copies.size), k)
-        vertices = copies % n
-        take = held[vertices] < k
-        vertices = vertices[take]
-        held += np.bincount(vertices, minlength=n)
-        recorded.append(vertices * flat_n + start + (visited[take] & low))
+        visited = _block_reach(rev_indptr, rev_heads, order[start:stop],
+                               shift, counts, k, stats)
+        if visited.size:
+            recorded.append(_record_block(visited, shift, start, flat_n,
+                                          counts, held, k))
     keys = (np.concatenate(recorded) if recorded
             else np.empty(0, dtype=np.int64))
     stats.insertions = int(keys.size)
+    return keys
+
+
+def _block_reach(rev_indptr: np.ndarray, rev_heads: np.ndarray,
+                 sources: np.ndarray, shift: int, counts: np.ndarray,
+                 k: int, stats: SketchStats) -> np.ndarray:
+    """The sorted ``copy << shift | slot`` keys one block's BFS reaches
+    from its live ``sources`` through unsaturated copies."""
+    live = counts[sources] < k
+    slots = np.flatnonzero(live)
+    stats.pruned += int(live.size - slots.size)
+    frontier = np.sort((sources[slots] << shift) | slots)
+    visited = frontier
+    while frontier.size:
+        frontier = _next_frontier(rev_indptr, rev_heads, frontier, visited,
+                                  shift, counts, k, stats)
+        if frontier.size:
+            stats.bfs_levels += 1
+            # Two sorted runs: the stable sort merges them linearly.
+            visited = np.concatenate((visited, frontier))
+            visited.sort(kind="stable")
+    return visited
+
+
+def _next_frontier(rev_indptr: np.ndarray, rev_heads: np.ndarray,
+                   frontier: np.ndarray, visited: np.ndarray, shift: int,
+                   counts: np.ndarray, k: int,
+                   stats: SketchStats) -> np.ndarray:
+    """The sorted keys one reverse hop from ``frontier`` at unsaturated
+    copies that ``visited`` does not hold yet."""
+    copies = frontier >> shift
+    lo, hi = rev_indptr[copies], rev_indptr[copies + 1]
+    del copies
+    targets = rev_heads[gather_ranges(lo, hi)]
+    live = counts[targets] < k
+    stats.pruned += int(live.size - np.count_nonzero(live))
+    keys = targets[live]
+    del targets
+    keys <<= shift
+    keys |= np.repeat(frontier & ((1 << shift) - 1), hi - lo)[live]
+    del live, lo, hi
+    keys = sorted_distinct(keys)
+    seen = np.searchsorted(visited, keys)
+    np.minimum(seen, visited.size - 1, out=seen)
+    return keys[visited[seen] != keys]
+
+
+def _record_block(visited: np.ndarray, shift: int, start: int, flat_n: int,
+                  counts: np.ndarray, held: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Fold keys of one block's reached pairs whose vertex is not full,
+    updating the per-copy ``counts`` and per-vertex ``held`` in place."""
+    n = held.size
+    copies = visited >> shift  # sorted: keys are copy-major
+    runs = np.flatnonzero(np.diff(copies, prepend=-1))
+    reached = copies[runs]
+    counts[reached] = np.minimum(
+        counts[reached] + np.diff(runs, append=copies.size), k)
+    del runs, reached
+    copies %= n  # now each pair's vertex
+    take = held[copies] < k
+    vertices = copies[take]
+    del copies
+    held += np.bincount(vertices, minlength=n)
+    keys = visited[take]
+    del take
+    keys &= (1 << shift) - 1
+    keys += start
+    vertices *= flat_n
+    keys += vertices
     return keys
 
 
